@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/codegen"
 	"repro/internal/hypercube"
 	"repro/internal/jacobi"
+	"repro/internal/microcode"
 	"repro/internal/multigrid"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -100,6 +100,22 @@ func benchSolve(cfg arch.Config, opts benchOpts) (*hypercube.JacobiResult, *hype
 	return res, m, err
 }
 
+// loadSweep compiles the forward sweep of a 12³ model problem for the
+// node through the compile pipeline and loads the problem's arrays: the
+// warm instruction the execution probes replay.
+func loadSweep(node *sim.Node) (*microcode.Instr, error) {
+	p := jacobi.NewModelProblem(12, 1e-6, 1)
+	res, err := p.Compile(pipeline.New(node.Inv))
+	if err != nil {
+		return nil, err
+	}
+	ins, err := res.Instrs(0)
+	if err != nil {
+		return nil, err
+	}
+	return ins[0], p.Load(node)
+}
+
 func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 	var out []benchRecord
 
@@ -132,16 +148,8 @@ func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 		if err != nil {
 			return err
 		}
-		p := jacobi.NewModelProblem(12, 1e-6, 1)
-		doc, _, err := p.BuildDocument(cfg)
+		in, err := loadSweep(node)
 		if err != nil {
-			return err
-		}
-		in, _, err := codegen.New(node.Inv).Pipeline(doc, doc.Pipes[0])
-		if err != nil {
-			return err
-		}
-		if err := p.Load(node); err != nil {
 			return err
 		}
 		r := testing.Benchmark(func(b *testing.B) {
@@ -175,16 +183,8 @@ func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 				return err
 			}
 			node.KernelOff = mode.off
-			p := jacobi.NewModelProblem(12, 1e-6, 1)
-			doc, _, err := p.BuildDocument(cfg)
+			in, err := loadSweep(node)
 			if err != nil {
-				return err
-			}
-			in, _, err := codegen.New(node.Inv).Pipeline(doc, doc.Pipes[0])
-			if err != nil {
-				return err
-			}
-			if err := p.Load(node); err != nil {
 				return err
 			}
 			r := testing.Benchmark(func(b *testing.B) {
@@ -221,16 +221,8 @@ func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 			return err
 		}
 		node.TrapCfg = mode.tc
-		p := jacobi.NewModelProblem(12, 1e-6, 1)
-		doc, _, err := p.BuildDocument(cfg)
+		in, err := loadSweep(node)
 		if err != nil {
-			return err
-		}
-		in, _, err := codegen.New(node.Inv).Pipeline(doc, doc.Pipes[0])
-		if err != nil {
-			return err
-		}
-		if err := p.Load(node); err != nil {
 			return err
 		}
 		r := testing.Benchmark(func(b *testing.B) {

@@ -85,6 +85,8 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
@@ -136,6 +138,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Var(&dumps, "dump", "plane:addr:count — print plane words after the run")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"sweeps", *sweeps}, {"spares", *spares}, {"checkpoint-every", *ckEvery}} {
+		if f.v < 0 {
+			err := diag.Errorf(diag.RuleNegativeCount, "-%s %d: must not be negative", f.name, f.v)
+			fmt.Fprintf(stderr, "nscsim: %s [%s]\n", err, err.Rule())
+			return 2
+		}
 	}
 
 	cfg := arch.Default()
@@ -283,7 +295,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// SPMD dispatch: every node runs the same program against its own
 	// state, bounded by the worker pool; the first failure cancels.
 	results := make([]sim.RunResult, len(nodes))
-	if err := hypercube.ParallelFor(*par, len(nodes), func(i int) error {
+	if err := engine.ParallelFor(*par, len(nodes), func(i int) error {
 		var err error
 		results[i], err = nodes[i].Run(prog, *max)
 		if err != nil {
@@ -367,10 +379,8 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 	m.CheckpointEvery = ckEvery
 	m.Trap = trap
 	m.NoKernel = noKernel
-	if spares > 0 {
-		if err := m.AddSpares(spares); err != nil {
-			return err
-		}
+	if err := m.AddSpares(spares); err != nil {
+		return err
 	}
 	if eccSpec != "" {
 		faults, err := hypercube.ParseRankECCFaults(eccSpec)

@@ -115,6 +115,25 @@ func TestJacobiBadFlags(t *testing.T) {
 	}
 }
 
+// TestJacobiNegativeCounts pins the typed R041 rejection of each
+// negative count flag: usage exit, nothing on stdout, one diagnostic
+// line naming the flag.
+func TestJacobiNegativeCounts(t *testing.T) {
+	for _, tc := range []struct{ golden, flag, val string }{
+		{"neg-sweeps", "-sweeps", "-3"},
+		{"neg-spares", "-spares", "-2"},
+		{"neg-checkpoint-every", "-checkpoint-every", "-4"},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, "-jacobi", "16", "-cube", "1", tc.flag, tc.val)
+			if code != 2 || stdout != "" {
+				t.Errorf("exit %d, stdout %q; want usage exit 2 and no report", code, stdout)
+			}
+			checkGolden(t, tc.golden, stderr)
+		})
+	}
+}
+
 // jacobiLine extracts the solve-outcome line from a report.
 func jacobiLine(out string) string {
 	for _, line := range strings.Split(out, "\n") {

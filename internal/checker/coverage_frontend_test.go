@@ -21,6 +21,7 @@ import (
 	"repro/internal/diagram"
 	"repro/internal/editor"
 	"repro/internal/engine"
+	"repro/internal/hypercube"
 	"repro/internal/pipeline"
 )
 
@@ -171,6 +172,13 @@ dma Mv wr var=v stride=1 count=64
 	diag.RuleFaultPlan: func(t *testing.T) error { // R040
 		_, err := engine.ParseFaultPlan("teleport:kill@1:0")
 		return err
+	},
+	diag.RuleNegativeCount: func(t *testing.T) error { // R041
+		m, err := hypercube.New(arch.Default(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.AddSpares(-2)
 	},
 }
 

@@ -65,15 +65,12 @@ func New(cfg arch.Config) (*Environment, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := codegen.New(inv)
 	pipe := pipeline.New(inv)
-	pipe.Gen = gen
-	pipe.Chk = gen.Chk
 	return &Environment{
 		Cfg:  cfg,
 		Inv:  inv,
 		Ed:   editor.New(inv, "untitled"),
-		Gen:  gen,
+		Gen:  pipe.Gen,
 		Pipe: pipe,
 		Node: node,
 	}, nil

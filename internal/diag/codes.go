@@ -48,4 +48,7 @@ const (
 	// an unparseable token, a bad phase/kind/option, or duplicate
 	// events targeting the same (sweep, phase, rank).
 	RuleFaultPlan = "R040"
+	// RuleNegativeCount marks a negative solver count: a fixed sweep
+	// count, a hot-spare pool size or a checkpoint stride below zero.
+	RuleNegativeCount = "R041"
 )

@@ -2,34 +2,41 @@ package engine
 
 import (
 	"repro/internal/arch"
-	"repro/internal/codegen"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
 // CompileSweeps programs every rank for the Jacobi scheme: each rank's
-// slab problem builds its visual-environment document, generates the
-// forward (u→v) and backward (v→u) sweep instructions, and loads the
-// slab arrays into the rank's node. The per-rank work is independent,
-// so it fans out across the worker pool; every rank gets its own
-// generator to keep the workers share-free.
+// slab problem compiles through one shared compile pipeline into the
+// forward (u→v) and backward (v→u) sweep instructions, and the slab
+// arrays load into the rank's node. Equal slabs have equal editor
+// scripts, so the pipeline's compile cache builds and compiles each
+// distinct slab once. Ranks fan out across the worker pool.
 func CompileSweeps(cfg arch.Config, workers int, locals []*jacobi.Problem,
+	nodeOf func(rank int) *sim.Node) (fwd, bwd []*microcode.Instr, err error) {
+	inv, err := arch.NewInventory(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return compileSweeps(pipeline.New(inv), workers, locals, nodeOf)
+}
+
+func compileSweeps(pl *pipeline.Pipeline, workers int, locals []*jacobi.Problem,
 	nodeOf func(rank int) *sim.Node) (fwd, bwd []*microcode.Instr, err error) {
 	fwd = make([]*microcode.Instr, len(locals))
 	bwd = make([]*microcode.Instr, len(locals))
 	err = ParallelFor(workers, len(locals), func(r int) error {
-		doc, _, err := locals[r].BuildDocument(cfg)
+		res, err := locals[r].Compile(pl)
 		if err != nil {
 			return err
 		}
-		gen := codegen.New(arch.MustInventory(cfg))
-		if fwd[r], _, err = gen.Pipeline(doc, doc.Pipes[0]); err != nil {
+		ins, err := res.Instrs(0, 1)
+		if err != nil {
 			return err
 		}
-		if bwd[r], _, err = gen.Pipeline(doc, doc.Pipes[1]); err != nil {
-			return err
-		}
+		fwd[r], bwd[r] = ins[0], ins[1]
 		return locals[r].Load(nodeOf(r))
 	})
 	if err != nil {

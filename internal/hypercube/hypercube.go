@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/jacobi"
 	"repro/internal/obs"
@@ -445,6 +446,12 @@ type JacobiResult struct {
 // resumes. Recovered runs produce bit-identical grids and residual
 // histories to fault-free runs; only the cycle counts grow.
 func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
+	if m.StopAfter < 0 {
+		return nil, diag.Errorf(diag.RuleNegativeCount, "hypercube: sweep count %d is negative", m.StopAfter)
+	}
+	if m.CheckpointEvery < 0 {
+		return nil, diag.Errorf(diag.RuleNegativeCount, "hypercube: checkpoint stride %d is negative", m.CheckpointEvery)
+	}
 	p := m.P()
 	for _, nd := range m.participants() {
 		nd.TrapCfg = m.Trap

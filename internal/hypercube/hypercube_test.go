@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 	"repro/internal/jacobi"
 )
 
@@ -297,5 +298,24 @@ func TestResidualNorm(t *testing.T) {
 	}
 	if ResidualNorm(nil) != 0 {
 		t.Error("empty norm wrong")
+	}
+}
+
+// TestNegativeCountsRejected: a negative sweep count, checkpoint stride
+// or spare pool is a typed R041 error, never a silently ignored value.
+func TestNegativeCountsRejected(t *testing.T) {
+	g := jacobi.NewModelProblem(8, 1e-4, 10)
+	for _, set := range []func(m *Machine) error{
+		func(m *Machine) error { m.StopAfter = -3; _, err := m.SolveJacobi(g); return err },
+		func(m *Machine) error { m.CheckpointEvery = -4; _, err := m.SolveJacobi(g); return err },
+		func(m *Machine) error { return m.AddSpares(-2) },
+	} {
+		m, err := New(smallCfg(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := diag.AsDiagnostic(set(m), "").Rule; got != diag.RuleNegativeCount {
+			t.Errorf("rule %q, want %s", got, diag.RuleNegativeCount)
+		}
 	}
 }

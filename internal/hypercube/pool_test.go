@@ -1,18 +1,23 @@
 package hypercube
 
+// The hypercube driver fans every per-rank phase out through
+// engine.ParallelFor; these tests pin the pool semantics it relies on.
+
 import (
 	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestParallelForVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64, -1} {
 		const n = 200
 		visits := make([]int32, n)
-		err := ParallelFor(workers, n, func(i int) error {
+		err := engine.ParallelFor(workers, n, func(i int) error {
 			atomic.AddInt32(&visits[i], 1)
 			return nil
 		})
@@ -29,7 +34,7 @@ func TestParallelForVisitsEveryIndexOnce(t *testing.T) {
 
 func TestParallelForEmpty(t *testing.T) {
 	called := false
-	if err := ParallelFor(4, 0, func(int) error { called = true; return nil }); err != nil {
+	if err := engine.ParallelFor(4, 0, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -43,7 +48,7 @@ func TestParallelForEmpty(t *testing.T) {
 func TestParallelForReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for trial := 0; trial < 20; trial++ {
-			err := ParallelFor(workers, 50, func(i int) error {
+			err := engine.ParallelFor(workers, 50, func(i int) error {
 				if i >= 7 && i%3 == 1 {
 					return fmt.Errorf("item %d failed", i)
 				}
@@ -66,7 +71,7 @@ func TestParallelForStopsIssuingAfterError(t *testing.T) {
 	const n = 10000
 	var started int32
 	boom := errors.New("boom")
-	err := ParallelFor(2, n, func(i int) error {
+	err := engine.ParallelFor(2, n, func(i int) error {
 		atomic.AddInt32(&started, 1)
 		if i == 0 {
 			return boom

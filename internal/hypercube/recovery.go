@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
@@ -26,6 +27,9 @@ import (
 // recovery. Spares are idle until a permanent kill fires: they cost no
 // simulated cycles and join no aggregation before activation.
 func (m *Machine) AddSpares(n int) error {
+	if n < 0 {
+		return diag.Errorf(diag.RuleNegativeCount, "hypercube: spare count %d is negative", n)
+	}
 	for i := 0; i < n; i++ {
 		nd, err := sim.NewNode(m.Cfg)
 		if err != nil {

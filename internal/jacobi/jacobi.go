@@ -25,9 +25,9 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/codegen"
 	"repro/internal/diagram"
 	"repro/internal/editor"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -276,6 +276,23 @@ func (p *Problem) BuildDocument(cfg arch.Config) (*diagram.Document, *editor.Edi
 	return ed.Doc, ed, nil
 }
 
+// Compile programs the solver through the compile pipeline: the
+// instance is validated against the pipeline's machine, then Script
+// runs through pl.CompileScript — served from pl's compile cache when
+// an equal script (say, an equal slab of a partitioned grid) was
+// compiled before. The result's Instrs(0, 1) are the forward (u→v) and
+// backward (v→u) sweeps.
+func (p *Problem) Compile(pl *pipeline.Pipeline) (*pipeline.Result, error) {
+	if err := p.Validate(pl.Inv.Cfg); err != nil {
+		return nil, err
+	}
+	res, err := pl.CompileScript(p.Script())
+	if err != nil {
+		return nil, fmt.Errorf("jacobi: %w", err)
+	}
+	return res, nil
+}
+
 // Result is the outcome of an NSC simulation run.
 type Result struct {
 	U          []float64
@@ -310,15 +327,15 @@ func (p *Problem) Load(n *sim.Node) error {
 // editor, check them, generate microcode, load the node, execute until
 // the convergence interrupt, and read the solution back.
 func (p *Problem) Run(cfg arch.Config) (*Result, error) {
-	doc, _, err := p.BuildDocument(cfg)
+	inv, err := arch.NewInventory(cfg)
 	if err != nil {
 		return nil, err
 	}
-	gen := codegen.New(arch.MustInventory(cfg))
-	prog, rep, err := gen.Document(doc)
+	comp, err := p.Compile(pipeline.New(inv))
 	if err != nil {
 		return nil, err
 	}
+	prog, rep := comp.Prog, comp.Rep
 	node, err := sim.NewNode(cfg)
 	if err != nil {
 		return nil, err

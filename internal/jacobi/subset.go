@@ -5,9 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/codegen"
 	"repro/internal/diagram"
 	"repro/internal/editor"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -223,15 +223,18 @@ func (p *Problem) SubsetLoad(n *sim.Node) error {
 
 // SubsetRun executes the three-instruction-per-sweep subset solve.
 func (p *Problem) SubsetRun(cfg arch.Config) (*Result, error) {
-	doc, _, err := p.SubsetBuild(cfg)
+	if err := p.SubsetValidate(cfg); err != nil {
+		return nil, err
+	}
+	inv, err := arch.NewInventory(cfg)
 	if err != nil {
 		return nil, err
 	}
-	gen := codegen.New(arch.MustInventory(cfg))
-	prog, rep, err := gen.Document(doc)
+	comp, err := pipeline.New(inv).CompileScript(p.SubsetScript())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("jacobi: subset: %w", err)
 	}
+	prog, rep := comp.Prog, comp.Rep
 	node, err := sim.NewNode(cfg)
 	if err != nil {
 		return nil, err

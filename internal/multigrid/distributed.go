@@ -5,11 +5,11 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
-	"repro/internal/codegen"
 	"repro/internal/engine"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -174,12 +174,18 @@ func (d *Distributed) build() error {
 		d.slabs[r] = lv
 	}
 	// Compile and load every rank's slab pipelines concurrently: each
-	// rank touches only its own node and level.
+	// rank touches only its own node and level, and equal slabs share
+	// one compile through the pipeline's cache.
+	inv, err := arch.NewInventory(dc.Cfg)
+	if err != nil {
+		return err
+	}
+	pl := pipeline.New(inv)
 	if err := engine.ParallelFor(dc.Workers, p, func(r int) error {
 		nd := dc.Fabric.Node(r)
 		nd.KernelOff = dc.NoKernel
 		lv := d.slabs[r]
-		if err := buildLevel(dc.Cfg, codegen.New(nd.Inv), lv, dc.Tol); err != nil {
+		if err := buildLevel(pl, lv, dc.Tol); err != nil {
 			return fmt.Errorf("multigrid: rank %d slab: %w", r, err)
 		}
 		if err := lv.P.Load(nd); err != nil {

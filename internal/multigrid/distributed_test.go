@@ -1,11 +1,17 @@
 package multigrid
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/codegen"
+	"repro/internal/diagram"
+	"repro/internal/editor"
 	"repro/internal/engine"
 	"repro/internal/hypercube"
+	"repro/internal/microcode"
 )
 
 // The distributed V-cycle must reproduce the single-node solver's
@@ -270,5 +276,56 @@ func TestDistributedBudgetExhaustionSurfaces(t *testing.T) {
 	}
 	if _, err := d.Run(); err == nil {
 		t.Fatal("exhausted retry budget did not fail the solve")
+	}
+}
+
+// TestDistributedLevelsMatchPerRankCodegen: every rank's slab level —
+// and every level of the coarse chain — holds the same five
+// instructions a private generator produces from that level's own
+// editor documents, although equal slabs now share one cached compile.
+func TestDistributedLevelsMatchPerRankCodegen(t *testing.T) {
+	cfg := arch.Default()
+	const tol = 1e-6
+	m, err := hypercube.New(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDistributed(DistConfig{
+		Fabric: m.Fabric(), Cfg: cfg, N: 33, Levels: 3, Tol: tol, MaxCycles: 1, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Part.Uniform() {
+		t.Fatal("31 planes over 8 ranks should be uneven")
+	}
+	inv := arch.MustInventory(cfg)
+	levels := append(append([]*Level(nil), d.slabs...), d.coarse.Levels...)
+	for i, lv := range levels {
+		gen := codegen.New(inv)
+		doc, _, err := lv.P.BuildDocument(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ed := editor.New(inv, "mg-aux")
+		if _, err := ed.ExecScript(strings.NewReader(auxScript(lv.P, tol)), false); err != nil {
+			t.Fatal(err)
+		}
+		for j, c := range []struct {
+			got  *microcode.Instr
+			doc  *diagram.Document
+			pipe int
+		}{
+			{lv.fwd, doc, 0}, {lv.bwd, doc, 1},
+			{lv.residual, ed.Doc, 0}, {lv.correct, ed.Doc, 1}, {lv.copyVU, ed.Doc, 2},
+		} {
+			want, _, err := gen.Pipeline(c.doc, c.doc.Pipes[c.pipe])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(c.got.W, want.W) {
+				t.Errorf("level %d instruction %d: words differ from Generator.Pipeline", i, j)
+			}
+		}
 	}
 }

@@ -22,10 +22,9 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/codegen"
-	"repro/internal/editor"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -152,7 +151,7 @@ func NewOnNode(cfg arch.Config, node *sim.Node, n, levels int, tol float64, maxC
 		return nil, fmt.Errorf("multigrid: need at least one level")
 	}
 	s := &Solver{Cfg: cfg, Node: node, Pre: 2, Post: 2, Omega: DefaultOmega, Tol: tol, MaxCycles: maxCycles}
-	gen := codegen.New(node.Inv)
+	pl := pipeline.New(node.Inv)
 
 	base := varBase
 	size := n
@@ -179,7 +178,7 @@ func NewOnNode(cfg arch.Config, node *sim.Node, n, levels int, tol float64, maxC
 				p.F[i] = 0
 			}
 		}
-		if err := buildLevel(s.Cfg, gen, lv, tol); err != nil {
+		if err := buildLevel(pl, lv, tol); err != nil {
 			return nil, fmt.Errorf("multigrid: level %d: %w", l, err)
 		}
 		s.Levels = append(s.Levels, lv)
@@ -205,35 +204,27 @@ func NewOnNode(cfg arch.Config, node *sim.Node, n, levels int, tol float64, maxC
 func prevSize(s *Solver) int { return s.Levels[len(s.Levels)-1].P.N }
 
 // buildLevel programs the level's five instructions through the
-// editor. It is a free function so the distributed driver can compile
-// a slab level without a Solver around it.
-func buildLevel(cfg arch.Config, gen *codegen.Generator, lv *Level, tol float64) error {
-	p := lv.P
+// compile pipeline. It is a free function so the distributed driver can
+// compile a slab level without a Solver around it; levels with equal
+// scripts share one compile through pl's cache.
+func buildLevel(pl *pipeline.Pipeline, lv *Level, tol float64) error {
 	// Smoothing sweeps come straight from the paper's example.
-	doc, _, err := p.BuildDocument(cfg)
+	res, err := lv.P.Compile(pl)
 	if err != nil {
 		return err
 	}
-	if lv.fwd, _, err = gen.Pipeline(doc, doc.Pipes[0]); err != nil {
+	ins, err := res.Instrs(0, 1)
+	if err != nil {
 		return err
 	}
-	if lv.bwd, _, err = gen.Pipeline(doc, doc.Pipes[1]); err != nil {
+	lv.fwd, lv.bwd = ins[0], ins[1]
+	if res, err = pl.CompileScript(auxScript(lv.P, tol)); err != nil {
 		return err
 	}
-
-	ed := editor.New(gen.Inv, "mg-aux")
-	if _, err := ed.ExecScript(strings.NewReader(auxScript(p, tol)), false); err != nil {
+	if ins, err = res.Instrs(0, 1, 2); err != nil {
 		return err
 	}
-	if lv.residual, _, err = gen.Pipeline(ed.Doc, ed.Doc.Pipes[0]); err != nil {
-		return err
-	}
-	if lv.correct, _, err = gen.Pipeline(ed.Doc, ed.Doc.Pipes[1]); err != nil {
-		return err
-	}
-	if lv.copyVU, _, err = gen.Pipeline(ed.Doc, ed.Doc.Pipes[2]); err != nil {
-		return err
-	}
+	lv.residual, lv.correct, lv.copyVU = ins[0], ins[1], ins[2]
 	return nil
 }
 

@@ -13,18 +13,18 @@ import (
 
 // Cache memoizes whole compilations by content address: the key hashes
 // the machine configuration together with the compilation's semantic
-// input (source statements plus grid and plane mapping, or a diagram
-// document's JSON form). Content addressing makes the cache
+// input (source statements plus grid and plane mapping, an editor
+// script's text, or a diagram document's JSON form). Content addressing makes the cache
 // self-invalidating — any change to the inputs is a different key —
 // exactly like the simulator's decoded-instruction plan cache, and the
 // hit/miss counters surface the same way (core.Environment,
 // nscasm/nscsim -stats).
 //
 // A Cache is safe for concurrent use. Hits return defensive copies of
-// the program (instruction words are cloned) so callers may mutate
-// their result freely; reports and documents are shared and treated as
-// immutable by convention, as they are between any two callers of the
-// generator.
+// the program (instruction words are cloned, as Result.Instrs clones
+// the standalone ones) so callers may mutate their result freely;
+// reports and documents are shared and treated as immutable by
+// convention, as they are between any two callers of the generator.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*Result
@@ -98,9 +98,7 @@ func cloneProgram(p *microcode.Program) *microcode.Program {
 	return out
 }
 
-// sourceCacheKey content-addresses a source compilation. Only the
-// semantic inputs participate: Workers changes scheduling, never
-// output, so it is excluded.
+// sourceCacheKey content-addresses a source compilation.
 func sourceCacheKey(cfg arch.Config, stmts []string, opt compiler.Options) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
@@ -114,6 +112,16 @@ func sourceCacheKey(cfg arch.Config, stmts []string, opt compiler.Options) strin
 		panic("pipeline: hashing source key: " + err.Error())
 	}
 	return "src:" + string(h.Sum(nil))
+}
+
+// scriptCacheKey content-addresses an editor-script compilation.
+func scriptCacheKey(cfg arch.Config, script string) string {
+	h := sha256.New()
+	if err := json.NewEncoder(h).Encode(cfg); err != nil {
+		panic("pipeline: hashing script key: " + err.Error())
+	}
+	h.Write([]byte(script))
+	return "script:" + string(h.Sum(nil))
 }
 
 // documentCacheKey content-addresses a document compilation via the

@@ -1,20 +1,22 @@
 // Package pipeline owns the whole source-to-microcode path of the
 // visual programming environment as a sequence of explicit, observable
 // passes: parse → build-diagram → check → codegen → validate. Each
-// pass reports problems as typed diag.Diagnostic records, each run is
-// timed per pass into a trace.PhaseRecorder, and whole compilations
-// are memoized in a content-addressed Cache keyed by the semantic
-// inputs (machine configuration plus source statements or diagram
-// document) — the same self-invalidating design as the simulator's
-// decoded-instruction plan cache.
+// pass reports problems as typed diag.Diagnostic records, each run
+// records per-pass wall-clock timings, and whole compilations are
+// memoized in a content-addressed Cache keyed by the semantic inputs
+// (machine configuration plus source statements, editor script or
+// diagram document) — the same self-invalidating design as the
+// simulator's decoded-instruction plan cache.
 //
-// compiler.Compile/CompileProgram, codegen generation and the
-// interactive editor's re-checks are all clients of this package's
-// stages; the package composes them without changing what they emit —
-// a pipeline compile is bit-identical to calling the stages by hand.
+// compiler.Compile/CompileProgram, codegen generation, the solvers'
+// editor scripts and the interactive editor's re-checks are all
+// clients of this package's stages; the package composes them without
+// changing what they emit — a pipeline compile is bit-identical to
+// calling the stages by hand.
 package pipeline
 
 import (
+	"strings"
 	"time"
 
 	"repro/internal/arch"
@@ -23,9 +25,9 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/diag"
 	"repro/internal/diagram"
+	"repro/internal/editor"
 	"repro/internal/microcode"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // State is the working set a run threads through its passes: inputs on
@@ -34,6 +36,8 @@ type State struct {
 	// Source inputs (CompileSource).
 	Stmts []string
 	Opt   compiler.Options
+	// Editor-script input (CompileScript).
+	Script string
 
 	// Document input (CompileDocument) or the build-diagram product.
 	Doc *diagram.Document
@@ -89,14 +93,34 @@ type Result struct {
 	// Passes records per-pass wall-clock timings, in run order.
 	Passes []PassTiming
 	// CacheHit reports whether the run was served from the compile
-	// cache (Passes then holds only the cache probe).
+	// cache (Passes then holds the timings of the run that filled the
+	// entry).
 	CacheHit bool
 }
 
-// Pipeline orchestrates the passes over one machine description. The
-// zero Workers value keeps every stage sequential; Workers > 1 enables
-// parallel statement compilation and pipeline elaboration (output is
-// identical either way).
+// Instrs returns copies of the standalone instructions of the given
+// pipelines: each is the instruction codegen.Generator.Pipeline returns
+// for that pipeline (sequencer set to halt, so sim.Node.Exec runs it
+// alone), before codegen clones it into flow order. Only pipelines the
+// document's control flow references are elaborated.
+func (r *Result) Instrs(pipes ...int) ([]*microcode.Instr, error) {
+	out := make([]*microcode.Instr, len(pipes))
+	for i, id := range pipes {
+		for _, pi := range r.Rep.Pipes {
+			if pi.Pipe == id {
+				out[i] = pi.Instr.Clone()
+				break
+			}
+		}
+		if out[i] == nil {
+			return nil, diag.Errorf(diag.RuleFlowGen, "pipeline: document %q elaborated no pipeline %d", r.Doc.Name, id)
+		}
+	}
+	return out, nil
+}
+
+// Pipeline orchestrates the passes over one machine description. It is
+// safe for concurrent compiles.
 type Pipeline struct {
 	Inv *arch.Inventory
 	Gen *codegen.Generator
@@ -107,10 +131,6 @@ type Pipeline struct {
 	// Cache memoizes whole compilations by content address. Nil
 	// disables compile caching.
 	Cache *Cache
-	// Rec receives one Observe sample per pass per run, phase names
-	// "pipeline:<pass>", cycles = wall-clock microseconds. Nil disables
-	// timing export (Result.Passes is always filled).
-	Rec *trace.PhaseRecorder
 	// Obs, when non-nil, routes pass runs and compile-cache probes into
 	// the unified observability layer: a "pipeline.pass.<name>" counter
 	// and ".us" wall-clock histogram per pass, one span per pass on
@@ -119,9 +139,6 @@ type Pipeline struct {
 	// metrics they vary run to run, so differential comparisons exclude
 	// the ".us" histograms.
 	Obs *obs.Obs
-	// Workers bounds intra-run parallelism (statements in the build
-	// pass, pipelines in the codegen pass).
-	Workers int
 }
 
 // New returns a pipeline for the inventory with compile caching
@@ -148,9 +165,6 @@ func (pl *Pipeline) run(st *State, passes []Pass) (*Result, error) {
 		err := p.Run(pl, st)
 		d := time.Since(t0)
 		res.Passes = append(res.Passes, PassTiming{Name: p.Name(), Duration: d})
-		if pl.Rec != nil {
-			pl.Rec.Observe("pipeline:"+p.Name(), 0, d.Microseconds())
-		}
 		if o := pl.Obs; o != nil {
 			us := d.Microseconds()
 			o.Inc("pipeline.pass." + p.Name())
@@ -191,11 +205,7 @@ func parsePass() Pass {
 
 func buildPass() Pass {
 	return passFunc{"build-diagram", func(pl *Pipeline, st *State) error {
-		opt := st.Opt
-		if opt.Workers == 0 {
-			opt.Workers = pl.Workers
-		}
-		out, err := compiler.BuildProgram(st.Parsed, pl.Inv, opt)
+		out, err := compiler.BuildProgram(st.Parsed, pl.Inv, st.Opt)
 		if err != nil {
 			return err
 		}
@@ -224,14 +234,7 @@ func checkPass() Pass {
 
 func codegenPass() Pass {
 	return passFunc{"codegen", func(pl *Pipeline, st *State) error {
-		gen := pl.Gen
-		if pl.Workers > 1 && gen.Workers != pl.Workers {
-			// Copy so concurrent runs sharing a generator stay safe.
-			g := *gen
-			g.Workers = pl.Workers
-			gen = &g
-		}
-		prog, rep, err := gen.Lower(st.Doc)
+		prog, rep, err := pl.Gen.Lower(st.Doc)
 		if err != nil {
 			return err
 		}
@@ -248,14 +251,36 @@ func validatePass() Pass {
 	}}
 }
 
-// sourcePasses is the full front-to-back pass list.
-func sourcePasses() []Pass {
-	return []Pass{parsePass(), buildPass(), checkPass(), codegenPass(), validatePass()}
+// scriptPass is the build-diagram pass for an editor script: the
+// commands drive a fresh editor, exactly as a user at the visual
+// environment would, and the resulting document moves on to check.
+func scriptPass() Pass {
+	return passFunc{"build-diagram", func(pl *Pipeline, st *State) error {
+		ed := editor.New(pl.Inv, "script")
+		if _, err := ed.ExecScript(strings.NewReader(st.Script), false); err != nil {
+			return err
+		}
+		st.Doc = ed.Doc
+		return nil
+	}}
 }
 
-// documentPasses starts from an existing diagram document.
-func documentPasses() []Pass {
-	return []Pass{checkPass(), codegenPass(), validatePass()}
+// compile serves a run from the compile cache under key when it can,
+// else runs the passes and caches a success. An empty key (no cache, or
+// an input that could not be hashed) compiles uncached.
+func (pl *Pipeline) compile(key string, st *State, passes []Pass) (*Result, error) {
+	if key != "" {
+		if res, ok := pl.Cache.lookup(key); ok {
+			pl.Obs.Inc("pipeline.cache.hit")
+			return res, nil
+		}
+		pl.Obs.Inc("pipeline.cache.miss")
+	}
+	res, err := pl.run(st, passes)
+	if err == nil && key != "" {
+		pl.Cache.store(key, res)
+	}
+	return res, err
 }
 
 // CompileSource compiles stencil statements to validated microcode:
@@ -267,18 +292,23 @@ func (pl *Pipeline) CompileSource(stmts []string, opt compiler.Options) (*Result
 	key := ""
 	if pl.Cache != nil {
 		key = sourceCacheKey(pl.Inv.Cfg, stmts, opt)
-		if res, ok := pl.Cache.lookup(key); ok {
-			pl.Obs.Inc("pipeline.cache.hit")
-			return res, nil
-		}
-		pl.Obs.Inc("pipeline.cache.miss")
 	}
-	st := &State{Stmts: stmts, Opt: opt}
-	res, err := pl.run(st, sourcePasses())
-	if err == nil && pl.Cache != nil {
-		pl.Cache.store(key, res)
+	return pl.compile(key, &State{Stmts: stmts, Opt: opt},
+		[]Pass{parsePass(), buildPass(), checkPass(), codegenPass(), validatePass()})
+}
+
+// CompileScript compiles an editor command script to validated
+// microcode: build-diagram (the script run in a fresh editor) → check →
+// codegen → validate, cached by config plus script text. Identical
+// scripts — such as the equal slabs of a partitioned solve — therefore
+// build and compile once per Pipeline.
+func (pl *Pipeline) CompileScript(script string) (*Result, error) {
+	key := ""
+	if pl.Cache != nil {
+		key = scriptCacheKey(pl.Inv.Cfg, script)
 	}
-	return res, err
+	return pl.compile(key, &State{Script: script},
+		[]Pass{scriptPass(), checkPass(), codegenPass(), validatePass()})
 }
 
 // CompileDocument compiles a diagram document to validated microcode:
@@ -287,50 +317,8 @@ func (pl *Pipeline) CompileSource(stmts []string, opt compiler.Options) (*Result
 func (pl *Pipeline) CompileDocument(doc *diagram.Document) (*Result, error) {
 	key := ""
 	if pl.Cache != nil {
-		var err error
-		key, err = documentCacheKey(pl.Inv.Cfg, doc)
-		if err == nil {
-			if res, ok := pl.Cache.lookup(key); ok {
-				pl.Obs.Inc("pipeline.cache.hit")
-				return res, nil
-			}
-			pl.Obs.Inc("pipeline.cache.miss")
-		} else {
-			key = "" // unhashable document: compile uncached
-		}
+		key, _ = documentCacheKey(pl.Inv.Cfg, doc) // unhashable: compile uncached
 	}
-	st := &State{Doc: doc}
-	res, err := pl.run(st, documentPasses())
-	if err == nil && pl.Cache != nil && key != "" {
-		pl.Cache.store(key, res)
-	}
-	return res, err
-}
-
-// CompileDocuments compiles independent documents, concurrently when
-// Workers > 1. Results and errors are positional. Each document runs
-// the standard CompileDocument path, including the compile cache.
-func (pl *Pipeline) CompileDocuments(docs []*diagram.Document) ([]*Result, []error) {
-	results := make([]*Result, len(docs))
-	errs := make([]error, len(docs))
-	if pl.Workers <= 1 || len(docs) <= 1 {
-		for i, doc := range docs {
-			results[i], errs[i] = pl.CompileDocument(doc)
-		}
-		return results, errs
-	}
-	sem := make(chan struct{}, pl.Workers)
-	done := make(chan struct{})
-	for i, doc := range docs {
-		go func(i int, doc *diagram.Document) {
-			sem <- struct{}{}
-			results[i], errs[i] = pl.CompileDocument(doc)
-			<-sem
-			done <- struct{}{}
-		}(i, doc)
-	}
-	for range docs {
-		<-done
-	}
-	return results, errs
+	return pl.compile(key, &State{Doc: doc},
+		[]Pass{checkPass(), codegenPass(), validatePass()})
 }

@@ -1,4 +1,4 @@
-package pipeline
+package pipeline_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,11 +14,11 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/compiler"
 	"repro/internal/diag"
-	"repro/internal/diagram"
 	"repro/internal/editor"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
-	"repro/internal/trace"
+	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
 func progHash(t *testing.T, p *microcode.Program) string {
@@ -84,7 +85,7 @@ func TestGoldenEquivalence(t *testing.T) {
 
 	t.Run("jacobi-subset", func(t *testing.T) {
 		subCfg := arch.Subset()
-		subPl := New(arch.MustInventory(subCfg))
+		subPl := pipeline.New(arch.MustInventory(subCfg))
 		prob := jacobi.NewModelProblem(8, 1e-4, 10)
 		doc, _, err := prob.SubsetBuild(subCfg)
 		if err != nil {
@@ -100,7 +101,7 @@ func TestGoldenEquivalence(t *testing.T) {
 	})
 
 	t.Run("sdu-stencil", func(t *testing.T) {
-		pl := New(inv)
+		pl := pipeline.New(inv)
 		res, err := pl.CompileSource([]string{sduStencilSrc}, sduStencilOpt)
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +112,7 @@ func TestGoldenEquivalence(t *testing.T) {
 	})
 
 	t.Run("program-multi", func(t *testing.T) {
-		pl := New(inv)
+		pl := pipeline.New(inv)
 		res, err := pl.CompileSource(programMultiSrc, programMultiOpt)
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +123,7 @@ func TestGoldenEquivalence(t *testing.T) {
 	})
 
 	t.Run("document-flow", func(t *testing.T) {
-		pl := New(inv)
+		pl := pipeline.New(inv)
 		ed := editor.New(inv, "flow")
 		if _, err := ed.ExecScript(strings.NewReader(flowScript), false); err != nil {
 			t.Fatal(err)
@@ -137,84 +138,12 @@ func TestGoldenEquivalence(t *testing.T) {
 	})
 }
 
-// TestParallelMatchesSequential proves the parallel front end is
-// bit-identical to the sequential one, for both the statement-level
-// build and the pipeline-level codegen. Run with -race in CI.
-func TestParallelMatchesSequential(t *testing.T) {
-	inv := arch.MustInventory(arch.Default())
-
-	seq := New(inv)
-	seq.Cache = nil
-	seqRes, err := seq.CompileSource(programMultiSrc, programMultiOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{2, 4, 8} {
-		par := New(inv)
-		par.Cache = nil
-		par.Workers = workers
-		parRes, err := par.CompileSource(programMultiSrc, programMultiOpt)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if hs, hp := progHash(t, seqRes.Prog), progHash(t, parRes.Prog); hs != hp {
-			t.Errorf("workers=%d: parallel hash %s != sequential %s", workers, hp, hs)
-		}
-		// Documents must match too (the merged diagram, not just the
-		// microcode).
-		var sb, pb bytes.Buffer
-		if err := seqRes.Doc.Save(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if err := parRes.Doc.Save(&pb); err != nil {
-			t.Fatal(err)
-		}
-		if sb.String() != pb.String() {
-			t.Errorf("workers=%d: parallel document differs from sequential", workers)
-		}
-	}
-}
-
-// TestParallelDocuments exercises the concurrent batch APIs.
-func TestParallelDocuments(t *testing.T) {
-	inv := arch.MustInventory(arch.Default())
-	pl := New(inv)
-	pl.Cache = nil
-	pl.Workers = 4
-
-	var docs []*diagram.Document
-	var want []string
-	for i := 0; i < 6; i++ {
-		src := fmt.Sprintf("v = u@(%d,0,0) + %d", i%3, i+1)
-		res, err := compiler.Compile(src, inv, sduStencilOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs = append(docs, res.Doc)
-		prog, _, err := codegen.New(inv).Document(res.Doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, progHash(t, prog))
-	}
-	results, errs := pl.CompileDocuments(docs)
-	for i, res := range results {
-		if errs[i] != nil {
-			t.Fatalf("doc %d: %v", i, errs[i])
-		}
-		if h := progHash(t, res.Prog); h != want[i] {
-			t.Errorf("doc %d: hash %s, want %s", i, h, want[i])
-		}
-	}
-}
-
 // TestCompileCache exercises the content-addressed compile cache: a
 // repeat compile is a hit with identical bits, any input change is a
 // miss, and counters track both.
 func TestCompileCache(t *testing.T) {
 	inv := arch.MustInventory(arch.Default())
-	pl := New(inv)
+	pl := pipeline.New(inv)
 
 	cold, err := pl.CompileSource(programMultiSrc, programMultiOpt)
 	if err != nil {
@@ -258,20 +187,73 @@ func TestCompileCache(t *testing.T) {
 		t.Errorf("entries = %d after distinct compile, want 2", st.Entries)
 	}
 
-	// Workers must NOT participate in the key (same output).
-	optW := programMultiOpt
-	optW.Workers = 8
-	resW, err := pl.CompileSource(programMultiSrc, optW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resW.CacheHit {
-		t.Error("Workers changed the cache key; scheduling must not affect content address")
-	}
-
 	pl.Cache.Reset()
 	if st := pl.Cache.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Errorf("stats after reset = %+v", st)
+	}
+}
+
+// TestCompileScript: an editor script compiles to the same program as
+// codegen on the document the script builds, each standalone
+// instruction matches Generator.Pipeline word for word, an equal script
+// is a cache hit whose instructions are private copies, and a failed
+// script is reported with diagnostics and not cached.
+func TestCompileScript(t *testing.T) {
+	inv := arch.MustInventory(arch.Default())
+	ed := editor.New(inv, "flow")
+	if _, err := ed.ExecScript(strings.NewReader(flowScript), false); err != nil {
+		t.Fatal(err)
+	}
+	gen := codegen.New(inv)
+	refProg, _, err := gen.Document(ed.Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refIn, _, err := gen.Pipeline(ed.Doc, ed.Doc.Pipes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pl := pipeline.New(inv)
+	res, err := pl.CompileScript(flowScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if progHash(t, res.Prog) != progHash(t, refProg) {
+		t.Error("script compile differs from Generator.Document on the same document")
+	}
+	ins, err := res.Instrs(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ins[0].W, refIn.W) {
+		t.Error("standalone instruction differs from Generator.Pipeline")
+	}
+	if _, err := res.Instrs(1); err == nil {
+		t.Error("Instrs accepted a pipeline the document does not have")
+	}
+
+	ins[0].W[0] ^= 1
+	hit, err := pl.CompileScript(flowScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.CacheHit {
+		t.Error("equal script missed the cache")
+	}
+	if ins, err = hit.Instrs(0); err != nil || !slices.Equal(ins[0].W, refIn.W) {
+		t.Errorf("cache hit instruction corrupted by a caller's edit (err %v)", err)
+	}
+
+	bad, err := pl.CompileScript(flowScript + "connect Nope.rd -> D.u0.b\n")
+	if err == nil {
+		t.Fatal("bad script compiled")
+	}
+	if len(bad.Diags) == 0 {
+		t.Error("failed script compile carries no diagnostics")
+	}
+	if st := pl.Cache.Stats(); st.Entries != 1 || st.Hits != 1 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want entries=1 hits=1 misses=2", st)
 	}
 }
 
@@ -279,7 +261,7 @@ func TestCompileCache(t *testing.T) {
 // invalidate, unchanged documents hit.
 func TestDocumentCache(t *testing.T) {
 	inv := arch.MustInventory(arch.Default())
-	pl := New(inv)
+	pl := pipeline.New(inv)
 	ed := editor.New(inv, "flow")
 	if _, err := ed.ExecScript(strings.NewReader(flowScript), false); err != nil {
 		t.Fatal(err)
@@ -308,11 +290,11 @@ func TestDocumentCache(t *testing.T) {
 }
 
 // TestPassTimings verifies the pass framework reports every pass, in
-// order, and exports phase samples to the recorder.
+// order, and counts and times each run of each pass in obs.
 func TestPassTimings(t *testing.T) {
 	inv := arch.MustInventory(arch.Default())
-	pl := New(inv)
-	pl.Rec = trace.NewPhaseRecorder()
+	pl := pipeline.New(inv)
+	pl.Obs = obs.New()
 
 	res, err := pl.CompileSource([]string{sduStencilSrc}, sduStencilOpt)
 	if err != nil {
@@ -327,9 +309,13 @@ func TestPassTimings(t *testing.T) {
 			t.Errorf("pass %d = %q, want %q", i, pt.Name, want[i])
 		}
 	}
+	totals := pl.Obs.Reg.Totals()
 	for _, name := range want {
-		if n, _ := pl.Rec.Totals("pipeline:" + name); n != 1 {
-			t.Errorf("recorder has %d samples for %q, want 1", n, name)
+		if n := totals["counter/pipeline.pass."+name]; n != 1 {
+			t.Errorf("pass counter for %q = %d, want 1", name, n)
+		}
+		if n := totals["hist/pipeline.pass."+name+".us.count"]; n != 1 {
+			t.Errorf("pass histogram for %q has %d samples, want 1", name, n)
 		}
 	}
 }
@@ -351,7 +337,7 @@ func TestDiagnosticsTyped(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pl := New(inv)
+			pl := pipeline.New(inv)
 			res, err := pl.CompileSource(tc.stmts, tc.opt)
 			if err == nil {
 				t.Fatal("compile succeeded, want error")
@@ -373,7 +359,7 @@ func TestDiagnosticsTyped(t *testing.T) {
 // cache.
 func TestFailedCompileNotCached(t *testing.T) {
 	inv := arch.MustInventory(arch.Default())
-	pl := New(inv)
+	pl := pipeline.New(inv)
 	if _, err := pl.CompileSource([]string{"v = u +"}, sduStencilOpt); err == nil {
 		t.Fatal("want parse error")
 	}
@@ -389,7 +375,7 @@ func TestFailedCompileNotCached(t *testing.T) {
 func BenchmarkCompileCache(b *testing.B) {
 	inv := arch.MustInventory(arch.Default())
 	b.Run("cold", func(b *testing.B) {
-		pl := New(inv)
+		pl := pipeline.New(inv)
 		for i := 0; i < b.N; i++ {
 			pl.Cache.Reset()
 			if _, err := pl.CompileSource(programMultiSrc, programMultiOpt); err != nil {
@@ -398,7 +384,7 @@ func BenchmarkCompileCache(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		pl := New(inv)
+		pl := pipeline.New(inv)
 		if _, err := pl.CompileSource(programMultiSrc, programMultiOpt); err != nil {
 			b.Fatal(err)
 		}
@@ -417,7 +403,7 @@ func BenchmarkCompileCache(b *testing.B) {
 // clone versus a full compile), so the 2× floor is timing-noise safe.
 func TestWarmHitSpeedup(t *testing.T) {
 	inv := arch.MustInventory(arch.Default())
-	pl := New(inv)
+	pl := pipeline.New(inv)
 	cold := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pl.Cache.Reset()
