@@ -46,7 +46,6 @@ func record(name string, r testing.BenchmarkResult, metrics map[string]float64) 
 // benchOpts selects the robustness machinery a bench solve arms on top
 // of the fault-free baseline.
 type benchOpts struct {
-	serial     bool
 	o          *obs.Obs
 	faults     *hypercube.FaultPlan
 	spares     int
@@ -55,8 +54,7 @@ type benchOpts struct {
 }
 
 // benchSolve runs the 8-node Jacobi solve the performance probes time:
-// fault-free by default, with the halo schedule, fabric, observability
-// layer, fault plan, spare pool and buddy-mirror stride chosen by opts.
+// fault-free by default, with the fabric, observability layer, fault plan, spare pool and buddy-mirror stride chosen by opts.
 func benchSolve(cfg arch.Config, opts benchOpts) (*hypercube.JacobiResult, *hypercube.Machine, error) {
 	name := opts.topology
 	if name == "" {
@@ -72,7 +70,6 @@ func benchSolve(cfg arch.Config, opts benchOpts) (*hypercube.JacobiResult, *hype
 	}
 	m.Workers = runtime.GOMAXPROCS(0)
 	m.StopAfter = 12
-	m.SerialExchange = opts.serial
 	m.Obs = opts.o
 	m.Faults = opts.faults
 	m.BuddyEvery = opts.buddyEvery
@@ -119,23 +116,20 @@ func loadSweep(node *sim.Node) (*microcode.Instr, error) {
 func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 	var out []benchRecord
 
-	// Engine overlap: the fault-free distributed solve under both halo
-	// schedules. Simulated clocks must agree; wall time may differ.
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"engine-overlap/overlap", false}, {"engine-overlap/serial", true}} {
+	// Engine overlap: the fault-free distributed solve on the engine's
+	// gather/scatter halo path.
+	{
 		var cycles, comm int64
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, m, err := benchSolve(cfg, benchOpts{serial: mode.serial})
+				_, m, err := benchSolve(cfg, benchOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				cycles, comm = m.MachineCycles, m.CommCycles
 			}
 		})
-		out = append(out, record(mode.name, r, map[string]float64{
+		out = append(out, record("engine-overlap/overlap", r, map[string]float64{
 			"machine_cycles": float64(cycles),
 			"comm_cycles":    float64(comm),
 		}))

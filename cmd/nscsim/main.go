@@ -75,12 +75,14 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -141,8 +143,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, f := range []struct {
 		name string
-		v    int
-	}{{"sweeps", *sweeps}, {"spares", *spares}, {"checkpoint-every", *ckEvery}} {
+		v    int64
+	}{{"sweeps", int64(*sweeps)}, {"spares", int64(*spares)}, {"checkpoint-every", int64(*ckEvery)}, {"watchdog", *watchdog}} {
 		if f.v < 0 {
 			err := diag.Errorf(diag.RuleNegativeCount, "-%s %d: must not be negative", f.name, f.v)
 			fmt.Fprintf(stderr, "nscsim: %s [%s]\n", err, err.Rule())
@@ -228,7 +230,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err == nil {
 			err = o.WriteFiles(stdout, *metricsJSON, *traceOut)
 		}
-		if err != nil {
+		var de *diag.DiagError
+		switch {
+		case errors.As(err, &de):
+			fmt.Fprintf(stderr, "nscsim: %s [%s]\n", err, de.Rule())
+			return 1
+		case err != nil:
 			fmt.Fprintln(stderr, "nscsim:", err)
 			return 1
 		}
@@ -378,9 +385,11 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 	m.StopAfter = sweeps
 	m.CheckpointEvery = ckEvery
 	m.Trap = trap
-	m.NoKernel = noKernel
 	if err := m.AddSpares(spares); err != nil {
 		return err
+	}
+	for _, nd := range slices.Concat(m.Nodes, m.Spares) {
+		nd.KernelOff = noKernel
 	}
 	if eccSpec != "" {
 		faults, err := hypercube.ParseRankECCFaults(eccSpec)

@@ -123,11 +123,32 @@ func TestJacobiNegativeCounts(t *testing.T) {
 		{"neg-sweeps", "-sweeps", "-3"},
 		{"neg-spares", "-spares", "-2"},
 		{"neg-checkpoint-every", "-checkpoint-every", "-4"},
+		{"neg-watchdog", "-watchdog", "-5"},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			stdout, stderr, code := runCLI(t, "-jacobi", "16", "-cube", "1", tc.flag, tc.val)
 			if code != 2 || stdout != "" {
 				t.Errorf("exit %d, stdout %q; want usage exit 2 and no report", code, stdout)
+			}
+			checkGolden(t, tc.golden, stderr)
+		})
+	}
+}
+
+// TestJacobiFaultPointsOutOfRange pins the typed R040 rejection of a
+// fault aimed past a 4-node machine — a fifth rank, a fourth ring pair,
+// a third combine round — which could never fire: failure exit, no
+// solve line, one diagnostic naming the event.
+func TestJacobiFaultPointsOutOfRange(t *testing.T) {
+	for _, tc := range []struct{ golden, flag, spec string }{
+		{"range-dispatch", "-kill", "1:9"},
+		{"range-exchange", "-faults", "exchange:kill@1:3"},
+		{"range-merge", "-faults", "merge:kill@1:7"},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, "-jacobi", "8", "-cube", "2", tc.flag, tc.spec)
+			if code != 1 || jacobiLine(stdout) != "" {
+				t.Errorf("exit %d, stdout %q; want exit 1 and no solve", code, stdout)
 			}
 			checkGolden(t, tc.golden, stderr)
 		})

@@ -19,8 +19,8 @@ func difftestWorkers() []int {
 	return []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)}
 }
 
-// TestDifferentialSolvers runs the full battery — Jacobi clean, serial
-// exchange, faulted with checkpoint recovery, ECC with trap retry, and
+// TestDifferentialSolvers runs the full battery — Jacobi clean,
+// faulted with checkpoint recovery, ECC with trap retry, and
 // distributed multigrid — across the worker ladder.
 func TestDifferentialSolvers(t *testing.T) {
 	for _, sc := range difftest.Scenarios() {
@@ -31,36 +31,6 @@ func TestDifferentialSolvers(t *testing.T) {
 				t.Error(err)
 			}
 		})
-	}
-}
-
-// TestDifferentialSchedules cross-checks the two halo schedules: the
-// overlapped gather/scatter path and the serial two-parity path promise
-// identical simulated observables, not just internal consistency.
-func TestDifferentialSchedules(t *testing.T) {
-	scs := difftest.Scenarios()
-	var clean, serial *difftest.Scenario
-	for i := range scs {
-		switch scs[i].Name {
-		case "jacobi/clean":
-			clean = &scs[i]
-		case "jacobi/serial-exchange":
-			serial = &scs[i]
-		}
-	}
-	if clean == nil || serial == nil {
-		t.Fatal("battery is missing the clean or serial-exchange scenario")
-	}
-	a, err := clean.Run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := serial.Run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := difftest.Diff("overlap", a, "serial", b); err != nil {
-		t.Error(err)
 	}
 }
 

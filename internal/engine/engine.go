@@ -16,16 +16,15 @@
 // barrier, merged in rank order, so results are bit-identical at every
 // worker count.
 //
-// On the fault-free path the loop overlaps halo exchange with interior
-// computation: each rank gathers its outgoing ghost faces into pooled
-// buffers inside the dispatch barrier (right after its own sweep, while
-// other ranks are still computing), and the exchange phase is then a
-// single scatter barrier in which every rank writes only its own ghost
-// planes. The simulated cost model is identical to the serial
-// two-phase schedule — overlap is a host-time optimization, measured
-// by BenchmarkEngineOverlap — and the faulted path keeps the seed's
-// two-parity pairwise schedule exactly, because fault triggering and
-// retry accounting are defined per pair.
+// The loop overlaps halo exchange with interior computation: each rank
+// gathers its outgoing ghost faces into pooled buffers inside the
+// dispatch barrier (right after its own sweep, while other ranks are
+// still computing), and the exchange phase is then a single scatter
+// barrier in which every rank writes only its own ghost planes. Faulted
+// runs take the same path: every injected fault is resolved on the
+// coordinating goroutine, in rank order, before the barrier it
+// affects, so barrier bodies only execute instructions and move words
+// and the fault plan is never touched concurrently.
 package engine
 
 import (
@@ -55,30 +54,22 @@ type Fabric interface {
 	// Hops returns the path length between two ring ranks.
 	//
 	// Invariant: both ranks must be live (0 ≤ r < P). The engine
-	// establishes this once, when NewLoop checks the partition and the
-	// exchange schedule against P, and never addresses a rank outside
-	// that range afterwards — so, unlike the machine-level Hops APIs,
-	// this one carries no error return. Implementations must panic on a
-	// violation rather than return a garbage distance.
+	// checks the partition against P when a loop starts and only asks
+	// about ring pairs (r, r+1) below P afterwards — so, unlike the
+	// machine-level Hops APIs, this one carries no error return.
+	// Implementations must panic on a violation rather than return a
+	// garbage distance.
 	Hops(from, to int) int
 	// Topology names the physical fabric ("hypercube", "mesh2d",
 	// "torus2d") for observability tags and reports.
 	Topology() string
-	// ExchangePairs returns the parity classes of the ring-exchange
-	// schedule over the live ranks (see topo.Topology.ExchangeSchedule).
-	ExchangePairs() [2][]int
 	// CombineHops returns the per-round critical-path hop counts of the
 	// residual-combine tree over the live ranks: the loop charges one
 	// word-sized message over CombineHops()[d] hops for round d. Empty
 	// when P is 1.
 	CombineHops() []int
-	// Copy moves count words between ranks' planes, returning the
-	// router cost without touching the shared clocks, so concurrent
-	// transfers over disjoint pairs can defer accounting to a
-	// deterministic rank-order merge.
-	Copy(fromRank, fromPlane int, fromAddr int64,
-		toRank, toPlane int, toAddr int64, count int) (int64, error)
-	// Corrupt bit-flips count words on a rank (fault injection).
+	// Corrupt bit-flips count words on a rank (fault injection). The
+	// exchange barrier calls it concurrently, each rank on its own node.
 	Corrupt(rank, plane int, addr int64, count int) error
 	// AddMachineCycles charges the machine critical path; AddCommCycles
 	// the aggregate router load.
@@ -100,12 +91,6 @@ type Config struct {
 
 	// ResidualFU is the reduce register the convergence combine reads.
 	ResidualFU arch.FUID
-
-	// SerialExchange disables the overlapped gather/scatter halo path
-	// on the fault-free schedule, forcing the two-parity pairwise
-	// exchange — the knob BenchmarkEngineOverlap flips. Simulated
-	// results and clocks are identical either way.
-	SerialExchange bool
 
 	// Observe, when non-nil, receives one sample per completed phase
 	// with the simulated cycles it added to the critical path. Called
@@ -178,25 +163,35 @@ type Loop struct {
 	cfg   *Config
 	retry RetryPolicy
 
-	fst    FaultStats   // live counters, merged in rank order
-	deltas []FaultStats // per-rank counter deltas (fault path only)
-	budget []*BudgetError
-	dead   []bool  // per-rank permanent-death slate (fault path only)
-	sweep  []int64 // per-rank dispatch cycles
-	pairs  [2][]int
-	cost   []int64 // per-pair exchange cost
+	fst   FaultStats // live counters
+	sweep []int64    // per-rank dispatch cycles
+	idle  []bool     // per-rank: dead or out of budget, so no execution
+	cost  []int64    // per-pair exchange cost
+	link  []link     // per-pair exchange outcome
 
-	// halo holds each rank's outgoing faces on the overlapped path:
-	// halo[2r] the down face (last owned plane), halo[2r+1] the up face
-	// (first owned plane). Allocated once per loop and reused every
-	// sweep.
-	halo [][]float64
+	// halo holds each rank's outgoing faces: halo[2r] the down face
+	// (last owned plane), halo[2r+1] the up face (first owned plane).
+	// Allocated once per loop and reused every sweep; gathered names the
+	// plane the last Dispatch filled it from, or -1.
+	halo     [][]float64
+	gathered int
 
 	// simTS is the loop's observability timeline: the simulated
 	// critical-path cycles accumulated by observed phases, used as span
 	// timestamps so traces replay the machine's time, not the host's.
 	simTS int64
 }
+
+// link is a ring pair's exchange outcome, resolved on the host before
+// the scatter barrier. Corruption is an XOR on the delivered words, so
+// only the last delivery decides what the ghost planes hold.
+type link uint8
+
+const (
+	linkLost    link = iota // no attempt delivered: both ghosts stay stale
+	linkClean               // the last delivery arrived intact
+	linkCorrupt             // the last delivery's down face arrived bit-flipped
+)
 
 // NewLoop builds a loop over the configured fabric and partition.
 func NewLoop(cfg *Config) (*Loop, error) {
@@ -208,33 +203,18 @@ func NewLoop(cfg *Config) (*Loop, error) {
 		return nil, fmt.Errorf("engine: partition over %d ranks on a %d-rank fabric", cfg.Part.P, p)
 	}
 	lp := &Loop{
-		cfg:   cfg,
-		retry: cfg.Retry.withDefaults(),
-		sweep: make([]int64, p),
-		cost:  make([]int64, p),
-		pairs: cfg.Fabric.ExchangePairs(),
-	}
-	if lp.pairs[0] == nil && lp.pairs[1] == nil {
-		lp.pairs = [2][]int{PairsOfParity(p, 0), PairsOfParity(p, 1)}
-	}
-	// Validate the schedule once, here: every pair (r, r+1) the loop
-	// will exchange must be live, so Fabric.Hops is never asked about an
-	// out-of-range rank afterwards (see the interface invariant).
-	for _, class := range lp.pairs {
-		for _, r := range class {
-			if r < 0 || r+1 >= p {
-				return nil, fmt.Errorf("engine: exchange pair (%d,%d) outside %d live ranks", r, r+1, p)
-			}
-		}
+		cfg:      cfg,
+		retry:    cfg.Retry.withDefaults(),
+		sweep:    make([]int64, p),
+		idle:     make([]bool, p),
+		cost:     make([]int64, p),
+		link:     make([]link, p),
+		gathered: -1,
 	}
 	if o := cfg.Obs; o != nil {
 		o.Inc("engine.topology." + cfg.Fabric.Topology())
 	}
-	if cfg.Faults != nil {
-		lp.deltas = make([]FaultStats, p)
-		lp.budget = make([]*BudgetError, p)
-		lp.dead = make([]bool, p)
-	} else if !cfg.SerialExchange && p > 1 {
+	if p > 1 {
 		lp.halo = make([][]float64, 2*p)
 		for i := range lp.halo {
 			lp.halo[i] = make([]float64, cfg.Part.NN())
@@ -243,33 +223,8 @@ func NewLoop(cfg *Config) (*Loop, error) {
 	return lp, nil
 }
 
-// overlapped reports whether the gather/scatter halo path is active.
-func (lp *Loop) overlapped() bool { return lp.halo != nil }
-
 // Stats returns the loop's live fault counters.
 func (lp *Loop) Stats() FaultStats { return lp.fst }
-
-// mergeDeltas folds the per-rank counter deltas into the live counters
-// in rank order, after a barrier.
-func (lp *Loop) mergeDeltas() {
-	for r := range lp.deltas {
-		lp.fst.Add(lp.deltas[r])
-		lp.deltas[r] = FaultStats{}
-	}
-}
-
-// firstBudget resolves the per-rank budget errors deterministically:
-// the lowest rank wins, and the slate is cleared.
-func (lp *Loop) firstBudget() *BudgetError {
-	var be *BudgetError
-	for r := range lp.budget {
-		if lp.budget[r] != nil && be == nil {
-			be = lp.budget[r]
-		}
-		lp.budget[r] = nil
-	}
-	return be
-}
 
 // observe reports a completed phase to the configured observer and the
 // unified observability layer. Called host-side after the phase's
@@ -287,71 +242,82 @@ func (lp *Loop) observe(phase string, sweep int, cycles int64) {
 	}
 }
 
+// resolveDispatch draws every rank's dispatch faults on the host, in
+// rank order: lp.sweep[r] starts at the rank's injected stall and
+// backoff cycles, and lp.idle[r] marks a rank that died or ran out of
+// retry budget and so does not execute. It returns the lowest rank's
+// budget error and the dead ranks, ascending.
+func (lp *Loop) resolveDispatch(sweepNo int) (be *BudgetError, dead []int) {
+	plan := lp.cfg.Faults
+	for r := range lp.sweep {
+		lp.sweep[r], lp.idle[r] = 0, false
+		for attempt := 0; ; attempt++ {
+			ev := plan.trigger(sweepNo, PhaseDispatch, r)
+			if ev == nil {
+				break
+			}
+			lp.fst.Injected++
+			if ev.Kind == FaultStall {
+				lp.fst.Stalls++
+				lp.fst.StallCycles += ev.Stall
+				lp.sweep[r] += ev.Stall
+				break
+			}
+			lp.fst.Kills++
+			if ev.Kind == FaultKillForever {
+				// Permanent death: no retry can help. The rank is charged
+				// only the work done before the board died.
+				lp.idle[r] = true
+				dead = append(dead, r)
+				break
+			}
+			if attempt+1 >= lp.retry.MaxAttempts {
+				lp.fst.Exhausted++
+				lp.idle[r] = true
+				if be == nil {
+					be = &BudgetError{Sweep: sweepNo, Phase: PhaseDispatch, Rank: r, Attempts: attempt + 1}
+				}
+				break
+			}
+			lp.fst.Retries++
+			b := lp.retry.backoff(attempt)
+			lp.fst.BackoffCycles += b
+			lp.sweep[r] += b
+		}
+	}
+	return be, dead
+}
+
 // Dispatch executes instr(r) on every rank across the worker pool and
-// charges the critical path with the slowest rank. Each rank only
-// mutates its own simulator state; cycle deltas land in a per-rank
-// slice and merge after the barrier in rank order, keeping the clocks
-// bit-identical to the sequential schedule. A killed dispatch retries
-// with backoff; an exhausted budget is recorded per rank and resolved
-// after the barrier, so counters stay deterministic at every worker
-// count.
+// charges the critical path with the slowest rank. Faults are resolved
+// on the host before the barrier (see resolveDispatch); inside it each
+// rank only executes on its own node and records its own cycles, which
+// merge after the barrier in rank order, keeping the clocks
+// bit-identical at every worker count.
 //
 // gatherPlane >= 0 names the plane whose ghost faces the following
-// Exchange will swap: on the overlapped path each rank copies its
-// outgoing faces into the pooled halo buffers right after its own
-// sweep, still inside the dispatch barrier, so the exchange phase
-// needs only a single scatter barrier. Pass -1 for dispatches with no
-// exchange to feed (residual, correction, copies).
+// Exchange will swap: each rank copies its outgoing faces into the
+// pooled halo buffers right after its own sweep, still inside the
+// dispatch barrier, so the exchange phase needs only a single scatter
+// barrier. Pass -1 for dispatches with no exchange to feed (residual,
+// correction, copies).
 func (lp *Loop) Dispatch(sweepNo int, instr func(rank int) *microcode.Instr, gatherPlane int) (*BudgetError, error) {
 	cfg := lp.cfg
 	f := cfg.Fabric
 	p := f.P()
-	gather := gatherPlane >= 0 && lp.overlapped()
+	be, dead := lp.resolveDispatch(sweepNo)
+	lp.gathered = -1
+	gather := gatherPlane >= 0 && lp.halo != nil
 	if err := ParallelFor(cfg.Workers, p, func(r int) error {
-		nd := f.Node(r)
-		var extra int64 // injected stall + backoff cycles
-		if cfg.Faults != nil {
-			fs := &lp.deltas[r]
-			for attempt := 0; ; attempt++ {
-				ev := cfg.Faults.trigger(sweepNo, PhaseDispatch, r)
-				if ev == nil {
-					break
-				}
-				fs.Injected++
-				if ev.Kind == FaultStall {
-					fs.Stalls++
-					fs.StallCycles += ev.Stall
-					extra += ev.Stall
-					break
-				}
-				if ev.Kind == FaultKillForever {
-					// Permanent death: no retry can help. Mark the rank on
-					// the dead slate (resolved after the barrier, so the
-					// surviving ranks' execution stays deterministic) and
-					// charge only the work done before the board died.
-					fs.Kills++
-					lp.dead[r] = true
-					lp.sweep[r] = extra
-					return nil
-				}
-				fs.Kills++
-				if attempt+1 >= lp.retry.MaxAttempts {
-					fs.Exhausted++
-					lp.budget[r] = &BudgetError{Sweep: sweepNo, Phase: PhaseDispatch, Rank: r, Attempts: attempt + 1}
-					lp.sweep[r] = extra
-					return nil
-				}
-				fs.Retries++
-				b := lp.retry.backoff(attempt)
-				fs.BackoffCycles += b
-				extra += b
-			}
+		if lp.idle[r] {
+			return nil
 		}
+		nd := f.Node(r)
 		before := nd.Stats.Cycles
 		if err := nd.Exec(instr(r)); err != nil {
 			return fmt.Errorf("engine: node %d sweep %d: %w", r, sweepNo, err)
 		}
-		lp.sweep[r] = nd.Stats.Cycles - before + extra
+		lp.sweep[r] += nd.Stats.Cycles - before
 		if gather {
 			return lp.gather(r, gatherPlane)
 		}
@@ -359,7 +325,9 @@ func (lp *Loop) Dispatch(sweepNo int, instr func(rank int) *microcode.Instr, gat
 	}); err != nil {
 		return nil, err
 	}
-	lp.mergeDeltas()
+	if be == nil && dead == nil {
+		lp.gathered = gatherPlane
+	}
 	var maxNode int64
 	for r := 0; r < p; r++ {
 		if lp.sweep[r] > maxNode {
@@ -370,17 +338,17 @@ func (lp *Loop) Dispatch(sweepNo int, instr func(rank int) *microcode.Instr, gat
 	// aborts the iteration: the lost work still ran.
 	f.AddMachineCycles(maxNode)
 	lp.observe("dispatch", sweepNo, maxNode)
-	if ranks := lp.deadSet(); ranks != nil {
+	if dead != nil {
 		if o := cfg.Obs; o != nil {
-			for _, r := range ranks {
+			for _, r := range dead {
 				o.Inc("engine.recovery.dead_ranks")
 				o.Event(0, "engine", "dead-rank", lp.simTS, "kill-forever",
 					map[string]int64{"sweep": int64(sweepNo), "rank": int64(r)})
 			}
 		}
-		return lp.firstBudget(), &DeadRankError{Sweep: sweepNo, Ranks: ranks}
+		return be, &DeadRankError{Sweep: sweepNo, Ranks: dead}
 	}
-	return lp.firstBudget(), nil
+	return be, nil
 }
 
 // gather copies rank r's outgoing ghost faces into the pooled halo
@@ -470,19 +438,71 @@ func (lp *Loop) CombineResidual(sweepNo int) (float64, *BudgetError) {
 	return worst, mergeBE
 }
 
+// resolveExchange draws every ring pair's exchange faults on the host,
+// in rank order, and records each pair's router cost and outcome. A
+// delivery costs two face messages over the pair's real distance;
+// stalls, backoff and every re-sent delivery add to it. Kills drop the
+// messages before any words move; a corruption delivers a bit-flipped
+// down face that the modeled link CRC flags for re-send. It returns
+// the lowest pair's budget error.
+func (lp *Loop) resolveExchange(sweepNo int) *BudgetError {
+	f := lp.cfg.Fabric
+	face := int64(lp.cfg.Part.NN()) * int64(f.WordBytes())
+	var be *BudgetError
+	for r := 0; r+1 < f.P(); r++ {
+		msg := 2 * f.SendCost(face, f.Hops(r, r+1))
+		cost, state := int64(0), linkLost
+		for attempt := 0; ; attempt++ {
+			ev := lp.cfg.Faults.trigger(sweepNo, PhaseExchange, r)
+			if ev == nil {
+				cost, state = cost+msg, linkClean
+				break
+			}
+			lp.fst.Injected++
+			if ev.Kind == FaultStall {
+				// The stalled transfer still completes.
+				lp.fst.Stalls++
+				lp.fst.StallCycles += ev.Stall
+				cost, state = cost+ev.Stall+msg, linkClean
+				break
+			}
+			if ev.Kind == FaultCorrupt {
+				lp.fst.Corruptions++
+				cost, state = cost+msg, linkCorrupt
+			} else {
+				lp.fst.Kills++
+			}
+			if attempt+1 >= lp.retry.MaxAttempts {
+				lp.fst.Exhausted++
+				if be == nil {
+					be = &BudgetError{Sweep: sweepNo, Phase: PhaseExchange, Rank: r, Attempts: attempt + 1}
+				}
+				break
+			}
+			lp.fst.Retries++
+			b := lp.retry.backoff(attempt)
+			lp.fst.BackoffCycles += b
+			cost += b
+		}
+		lp.cost[r], lp.link[r] = cost, state
+	}
+	return be
+}
+
 // Exchange swaps ghost faces on `plane` between all ring neighbours:
-// rank r sends its last owned plane down-ring and its first owned
-// plane up-ring. All pairs exchange concurrently, so the machine's
-// critical path grows by one pair's traffic (two face messages), while
-// CommCycles keeps the aggregate router load, merged in rank order.
-//
-// On the overlapped fault-free path the outgoing faces were already
-// gathered during Dispatch, so this is a single barrier in which each
-// rank writes only its own ghost planes. Otherwise pair (r, r+1)
-// touches exactly two nodes, so even-r pairs are mutually disjoint (as
-// are odd-r pairs) and the exchange dispatches over the pool in two
-// parity phases.
+// rank r's last owned plane becomes (r+1)'s low ghost and (r+1)'s
+// first owned plane r's high ghost. The outgoing faces were gathered
+// during the preceding Dispatch, which must have named this plane;
+// faults are resolved on the host (see resolveExchange), so the
+// exchange is a single barrier in which each rank writes only its own
+// ghost planes. All pairs exchange concurrently: the machine's
+// critical path grows by one clean pair's traffic plus the worst
+// pair's extra, while CommCycles keeps the aggregate router load,
+// merged in rank order.
 func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
+	if plane != lp.gathered {
+		return nil, fmt.Errorf("engine: sweep %d: exchange of plane %d, but the preceding dispatch gathered no faces from it", sweepNo, plane)
+	}
 	cfg := lp.cfg
 	f := cfg.Fabric
 	pt := cfg.Part
@@ -491,149 +511,39 @@ func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 		lp.observe("exchange", sweepNo, 0)
 		return nil, nil
 	}
+	be := lp.resolveExchange(sweepNo)
 	nn := pt.NN()
-	if lp.overlapped() {
-		step := f.SendCost(int64(nn)*int64(f.WordBytes()), 1)
-		if err := ParallelFor(cfg.Workers, p, func(r int) error {
-			nd := f.Node(r)
-			if r > 0 { // low ghost from the left neighbour's down face
-				if err := nd.WriteWords(plane, 0, lp.halo[2*(r-1)]); err != nil {
-					return err
-				}
-			}
-			if r+1 < p { // high ghost from the right neighbour's up face
-				if err := nd.WriteWords(plane, int64((pt.Planes[r]+1)*nn), lp.halo[2*(r+1)+1]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		for r := 0; r+1 < p; r++ {
-			lp.cost[r] = 2 * step
-		}
-	} else {
-		for phase := 0; phase < 2; phase++ {
-			pairs := lp.pairs[phase]
-			if err := ParallelFor(cfg.Workers, len(pairs), func(k int) error {
-				r := pairs[k]
-				if cfg.Faults == nil {
-					// r's last owned plane → (r+1)'s low ghost.
-					down, err := f.Copy(r, plane, int64(pt.Planes[r]*nn), r+1, plane, 0, nn)
-					if err != nil {
-						return err
-					}
-					// (r+1)'s first owned plane → r's high ghost.
-					up, err := f.Copy(r+1, plane, int64(nn), r, plane, int64((pt.Planes[r]+1)*nn), nn)
-					if err != nil {
-						return err
-					}
-					lp.cost[r] = down + up
-					return nil
-				}
-				return lp.exchangePair(sweepNo, r, plane)
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	lp.mergeDeltas()
-	for r := 0; r+1 < p; r++ {
-		f.AddCommCycles(lp.cost[r])
-	}
-	pairClean := 2 * f.SendCost(int64(nn)*int64(f.WordBytes()), 1)
-	added := pairClean
-	f.AddMachineCycles(pairClean)
-	if cfg.Faults != nil {
-		// Pairs exchange concurrently: the critical path grows by the
-		// worst pair's injected stall/backoff/resend.
-		var worstExtra int64
-		for r := 0; r+1 < p; r++ {
-			if ex := lp.cost[r] - pairClean; ex > worstExtra {
-				worstExtra = ex
-			}
-		}
-		f.AddMachineCycles(worstExtra)
-		added += worstExtra
-	}
-	lp.observe("exchange", sweepNo, added)
-	return lp.firstBudget(), nil
-}
-
-// exchangePair performs one ring pair's ghost exchange under the fault
-// plan: kills drop the messages before transfer, corruptions deliver a
-// bit-flipped down payload that the modeled link CRC flags for
-// re-send, stalls delay the pair. All costs (wasted transfers, backoff,
-// stall) accumulate into the pair's cost slot for the rank-order merge.
-func (lp *Loop) exchangePair(sweepNo, r, plane int) error {
-	cfg := lp.cfg
-	f := cfg.Fabric
-	pt := cfg.Part
-	nn := pt.NN()
-	fs := &lp.deltas[r]
-	total := int64(0)
-	for attempt := 0; ; attempt++ {
-		ev := cfg.Faults.trigger(sweepNo, PhaseExchange, r)
-		corrupt := false
-		if ev != nil {
-			fs.Injected++
-			switch ev.Kind {
-			case FaultStall:
-				fs.Stalls++
-				fs.StallCycles += ev.Stall
-				total += ev.Stall
-				// The stalled transfer still completes below.
-			case FaultKill:
-				fs.Kills++
-				if attempt+1 >= lp.retry.MaxAttempts {
-					fs.Exhausted++
-					lp.budget[r] = &BudgetError{Sweep: sweepNo, Phase: PhaseExchange, Rank: r, Attempts: attempt + 1}
-					lp.cost[r] = total
-					return nil
-				}
-				fs.Retries++
-				b := lp.retry.backoff(attempt)
-				fs.BackoffCycles += b
-				total += b
-				continue // messages lost before any words moved
-			case FaultCorrupt:
-				corrupt = true
-			}
-		}
-		down, err := f.Copy(r, plane, int64(pt.Planes[r]*nn), r+1, plane, 0, nn)
-		if err != nil {
-			return err
-		}
-		up, err := f.Copy(r+1, plane, int64(nn), r, plane, int64((pt.Planes[r]+1)*nn), nn)
-		if err != nil {
-			return err
-		}
-		total += down + up
-		if corrupt {
-			// The down payload arrived bit-flipped; the link CRC flags
-			// it and the pair re-sends. The corrupted words really land
-			// in the ghost plane until the retry scrubs them — exactly
-			// the state a crash would leave behind.
-			fs.Corruptions++
-			if err := f.Corrupt(r+1, plane, 0, nn); err != nil {
+	if err := ParallelFor(cfg.Workers, p, func(r int) error {
+		nd := f.Node(r)
+		if r > 0 && lp.link[r-1] != linkLost { // low ghost: left neighbour's down face
+			if err := nd.WriteWords(plane, 0, lp.halo[2*(r-1)]); err != nil {
 				return err
 			}
-			if attempt+1 >= lp.retry.MaxAttempts {
-				fs.Exhausted++
-				lp.budget[r] = &BudgetError{Sweep: sweepNo, Phase: PhaseExchange, Rank: r, Attempts: attempt + 1}
-				lp.cost[r] = total
-				return nil
+			if lp.link[r-1] == linkCorrupt {
+				if err := f.Corrupt(r, plane, 0, nn); err != nil {
+					return err
+				}
 			}
-			fs.Retries++
-			b := lp.retry.backoff(attempt)
-			fs.BackoffCycles += b
-			total += b
-			continue
 		}
-		lp.cost[r] = total
+		if r+1 < p && lp.link[r] != linkLost { // high ghost: right neighbour's up face
+			if err := nd.WriteWords(plane, int64((pt.Planes[r]+1)*nn), lp.halo[2*(r+1)+1]); err != nil {
+				return err
+			}
+		}
 		return nil
+	}); err != nil {
+		return nil, err
 	}
+	pairClean := 2 * f.SendCost(int64(nn)*int64(f.WordBytes()), 1)
+	var worstExtra int64
+	for r := 0; r+1 < p; r++ {
+		f.AddCommCycles(lp.cost[r])
+		worstExtra = max(worstExtra, lp.cost[r]-pairClean)
+	}
+	added := pairClean + worstExtra
+	f.AddMachineCycles(added)
+	lp.observe("exchange", sweepNo, added)
+	return be, nil
 }
 
 // RunResult reports a Run.

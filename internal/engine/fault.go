@@ -251,11 +251,8 @@ func RandomChaosPlan(seed int64, sweeps, ranks, n int) *FaultPlan {
 }
 
 // trigger returns the next unexpired event matching (sweep, phase,
-// rank) and consumes one firing, or nil. Nil-safe. Concurrent callers
-// are safe because the loop serves each (phase, rank) point from a
-// single goroutine per barrier interval: the immutable key fields are
-// compared before the per-event counter is touched, so no two
-// goroutines ever race on one counter.
+// rank) and consumes one firing, or nil. Nil-safe. The loop calls it
+// only from its coordinating goroutine, never inside a barrier.
 func (p *FaultPlan) trigger(sweep int, ph Phase, rank int) *FaultEvent {
 	if p == nil {
 		return nil
@@ -290,6 +287,33 @@ func (p *FaultPlan) SetFired(counts []int64) {
 			p.fired[i] = counts[i]
 		}
 	}
+}
+
+// CheckFaultPoints rejects, with a typed R040 diagnostic, a plan event
+// aimed at a point the fabric does not have — a dispatch rank ≥ P, an
+// exchange pair ≥ P−1 or a combine round ≥ len(CombineHops()) — since
+// such an event could never fire. Solvers call it once at solve start,
+// not per loop: a shrink legitimately leaves later events out of reach.
+// Nil-safe.
+func CheckFaultPoints(plan *FaultPlan, f Fabric) error {
+	if plan == nil {
+		return nil
+	}
+	p := f.P()
+	for _, ev := range plan.Events {
+		have, what := p, "rank"
+		switch ev.Phase {
+		case PhaseExchange:
+			have, what = p-1, "ring pair"
+		case PhaseMerge:
+			have, what = len(f.CombineHops()), "combine round"
+		}
+		if ev.Rank >= have {
+			return planErrf("event %s never fires: the %d-rank %s fabric has no %s %d",
+				ev, p, f.Topology(), what, ev.Rank)
+		}
+	}
+	return nil
 }
 
 // faultEventGrammar is the event grammar quoted by every parse

@@ -90,14 +90,3 @@ func (pt *Partition) Local(cfg arch.Config, global *jacobi.Problem, r int) (*jac
 	}
 	return lp, nil
 }
-
-// PairsOfParity lists the ring-exchange pairs (r, r+1) whose lower
-// rank has the given parity. Within one parity class no two pairs
-// share a node, so the class can exchange concurrently.
-func PairsOfParity(p, parity int) []int {
-	var pairs []int
-	for r := parity; r+1 < p; r += 2 {
-		pairs = append(pairs, r)
-	}
-	return pairs
-}

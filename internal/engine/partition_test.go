@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-func TestPairsOfParity(t *testing.T) {
-	// 5 ranks: pairs (0,1),(1,2),(2,3),(3,4) split into even {0,2} and
-	// odd {1,3} phases; within a phase no rank appears in two pairs.
-	for _, tc := range []struct {
-		p, parity int
-		want      []int
-	}{
-		{5, 0, []int{0, 2}},
-		{5, 1, []int{1, 3}},
-		{2, 0, []int{0}},
-		{2, 1, nil},
-		{1, 0, nil},
-	} {
-		got := PairsOfParity(tc.p, tc.parity)
-		if len(got) != len(tc.want) {
-			t.Fatalf("PairsOfParity(%d,%d) = %v, want %v", tc.p, tc.parity, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("PairsOfParity(%d,%d) = %v, want %v", tc.p, tc.parity, got, tc.want)
-			}
-		}
-	}
-}
-
 func TestNewPartitionEven(t *testing.T) {
 	part, err := NewPartition(4, 17, 14)
 	if err != nil {

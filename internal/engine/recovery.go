@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -108,21 +107,4 @@ func ChargeScatter(f Fabric, words []int64) int64 {
 	}
 	f.AddMachineCycles(worst)
 	return worst
-}
-
-// deadSet returns the sorted dead ranks marked in the loop's dead
-// slate, clearing it, or nil.
-func (lp *Loop) deadSet() []int {
-	if lp.dead == nil {
-		return nil
-	}
-	var ranks []int
-	for r, d := range lp.dead {
-		if d {
-			ranks = append(ranks, r)
-			lp.dead[r] = false
-		}
-	}
-	sort.Ints(ranks)
-	return ranks
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -112,7 +111,6 @@ type scatterFabric struct {
 
 func (f *scatterFabric) P() int                               { return f.p }
 func (f *scatterFabric) Topology() string                     { return "test" }
-func (f *scatterFabric) ExchangePairs() [2][]int              { return [2][]int{} }
 func (f *scatterFabric) CombineHops() []int                   { return nil }
 func (f *scatterFabric) Node(int) *sim.Node                   { return nil }
 func (f *scatterFabric) WordBytes() int                       { return 1 }
@@ -123,10 +121,9 @@ func (f *scatterFabric) Hops(from, to int) int {
 	}
 	return to - from
 }
-func (f *scatterFabric) Copy(int, int, int64, int, int, int64, int) (int64, error) { return 0, nil }
-func (f *scatterFabric) Corrupt(int, int, int64, int) error                        { return nil }
-func (f *scatterFabric) AddMachineCycles(c int64)                                  { f.machine += c }
-func (f *scatterFabric) AddCommCycles(c int64)                                     { f.com += c }
+func (f *scatterFabric) Corrupt(int, int, int64, int) error { return nil }
+func (f *scatterFabric) AddMachineCycles(c int64)           { f.machine += c }
+func (f *scatterFabric) AddCommCycles(c int64)              { f.com += c }
 
 // TestChargeScatter: the post-recovery scatter charges every non-empty
 // message to the router aggregate and only the worst one to the
@@ -163,33 +160,5 @@ func TestDeadRankErrorAndStats(t *testing.T) {
 	want := "recoveries=2 dead=3 spares=1 shrinks=1 buddy=1 checkpoint=1 resweeps=3"
 	if s.String() != want {
 		t.Errorf("stats = %q, want %q", s, want)
-	}
-}
-
-// badPairFabric returns an exchange schedule naming a rank beyond the
-// live count — the misconfiguration NewLoop must reject up front, per
-// the Fabric.Hops invariant.
-type badPairFabric struct{ scatterFabric }
-
-func (f *badPairFabric) ExchangePairs() [2][]int { return [2][]int{{2}, nil} }
-
-func TestNewLoopValidatesExchangeSchedule(t *testing.T) {
-	part, err := NewPartition(3, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewLoop(&Config{Fabric: &badPairFabric{scatterFabric{p: 3}}, Part: part})
-	if err == nil || !strings.Contains(err.Error(), "exchange pair (2,3) outside 3 live ranks") {
-		t.Errorf("bad schedule: %v", err)
-	}
-	// A fabric with no schedule of its own falls back to the ring parity
-	// classes.
-	lp, err := NewLoop(&Config{Fabric: &scatterFabric{p: 3}, Part: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [2][]int{PairsOfParity(3, 0), PairsOfParity(3, 1)}
-	if !reflect.DeepEqual(lp.pairs, want) {
-		t.Errorf("fallback pairs = %v, want %v", lp.pairs, want)
 	}
 }

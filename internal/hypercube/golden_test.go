@@ -142,33 +142,6 @@ func goldenScenarios(t *testing.T) map[string]goldenRecord {
 	return out
 }
 
-// TestOverlapExchangeEquivalence: the overlapped gather/scatter halo
-// path (the fault-free default) and the serial two-parity pairwise
-// schedule must agree on every observable — field bits, residual
-// series, and above all the simulated clocks. The overlap only changes
-// host wall time, never machine time.
-func TestOverlapExchangeEquivalence(t *testing.T) {
-	run := func(serial bool, workers int) goldenRecord {
-		m, err := New(smallCfg(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Workers = workers
-		m.SerialExchange = serial
-		res, err := m.SolveJacobi(parallelProblem(m.P()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recordOf(res, m)
-	}
-	for _, workers := range []int{1, 4} {
-		serial, overlap := run(true, workers), run(false, workers)
-		if !reflect.DeepEqual(serial, overlap) {
-			t.Errorf("workers=%d:\n  serial  %+v\n  overlap %+v", workers, serial, overlap)
-		}
-	}
-}
-
 func TestGoldenSolveEquivalence(t *testing.T) {
 	path := filepath.Join("testdata", "golden_pr4.json")
 	got := goldenScenarios(t)

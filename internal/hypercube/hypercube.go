@@ -4,8 +4,8 @@
 // (e-cube routes over a Gray-code ring), but the same Machine runs over
 // the mesh and torus fabrics of related lattice computers; the cost
 // model is per-hop latency plus bandwidth-limited transfer, from the
-// arch configuration, with the hop counts and collective schedules
-// supplied by the topology.
+// arch configuration, with the hop counts and combine pricing supplied
+// by the topology.
 //
 // The package also provides the multi-node point-Jacobi driver used by
 // the scaling experiment (P2): 1-D domain decomposition along k with
@@ -42,7 +42,7 @@ type Machine struct {
 	// hypercube, and still the residual-combine round count otherwise.
 	Dim int
 	// Topo is the interconnect the machine is built over; it fixes the
-	// rank embedding, hop metric and collective schedules.
+	// rank embedding, hop metric and combine pricing.
 	Topo  topo.Topology
 	Nodes []*sim.Node
 
@@ -63,13 +63,6 @@ type Machine struct {
 	// nodes share no mutable simulator state, and all cycle/FLOP
 	// accounting is merged in rank order after each barrier.
 	Workers int
-
-	// SerialExchange forces the engine's two-parity pairwise halo
-	// schedule instead of the overlapped gather/scatter path on
-	// fault-free solves. Results and simulated clocks are identical
-	// either way; the knob exists for measurement
-	// (BenchmarkEngineOverlap).
-	SerialExchange bool
 
 	// Faults, when non-nil, injects the plan's deterministic faults
 	// into SolveJacobi. Nil (the default) keeps the solve loop on the
@@ -100,12 +93,6 @@ type Machine struct {
 	// exact seed behaviour.
 	Trap arch.TrapConfig
 
-	// NoKernel pins every node to the reference interpreter instead of
-	// the specialized execution kernels (sim.Node.KernelOff). Results
-	// are bit-identical either way; the knob exists for differential
-	// testing and the nscsim -no-kernel escape hatch.
-	NoKernel bool
-
 	// Obs, when non-nil, arms the unified observability layer on every
 	// solve: the engine loop's phase spans and counters land on tracer
 	// shard 0 and each node's dispatch/trap/ECC stream lands on shard
@@ -135,10 +122,8 @@ type Machine struct {
 	// completed solves on this machine.
 	RecoveryCounters engine.RecoveryStats
 
-	// pairs holds the parity classes of the ring-exchange pairs and
-	// combineHops the per-round residual-combine pricing, both from the
-	// topology, recomputed whenever the live rank count changes.
-	pairs       [2][]int
+	// combineHops is the per-round residual-combine pricing from the
+	// topology, recomputed whenever the live ring changes.
 	combineHops []int
 
 	// ring[r] is the live node serving ring rank r and ringAddr[r] its
@@ -169,10 +154,10 @@ func New(cfg arch.Config, dim int) (*Machine, error) {
 }
 
 // NewWithTopology builds a machine of t.P() nodes over an arbitrary
-// fabric. The topology fixes which physical node serves each ring rank,
-// the exchange-pair schedule and the combine-tree pricing; the solver
-// data movement is identical across fabrics, so results are bit for bit
-// the same and only the simulated comm clocks differ.
+// fabric. The topology fixes which physical node serves each ring rank
+// and the combine-tree pricing; the solver data movement is identical
+// across fabrics, so results are bit for bit the same and only the
+// simulated comm clocks differ.
 func NewWithTopology(cfg arch.Config, t topo.Topology) (*Machine, error) {
 	if t == nil {
 		return nil, fmt.Errorf("hypercube: nil topology")
@@ -200,7 +185,6 @@ func NewWithTopology(cfg arch.Config, t topo.Topology) (*Machine, error) {
 		m.ring[r] = m.Nodes[a]
 		m.ringAddr[r] = a
 	}
-	m.pairs = t.ExchangeSchedule(p)
 	m.combineHops = t.CombineSteps(m.ringAddr)
 	return m, nil
 }
@@ -268,54 +252,27 @@ func (m *Machine) SendCost(bytes int64, hops int) int64 {
 	return int64(hops*m.Cfg.RouterHopCycles) + (bytes+bw-1)/bw
 }
 
-// GrayRank returns the Gray-code of r: embedding a ring into the
-// hypercube so that ring neighbours are always one hop apart.
-func GrayRank(r int) int { return r ^ (r >> 1) }
-
 // CopyWords moves count words from one node's plane to another node's
 // plane through the router, charging the communication cost. Node
 // ranks and plane indices are validated; errors are returned, never
 // panics.
 func (m *Machine) CopyWords(fromNode, fromPlane int, fromAddr int64,
 	toNode, toPlane int, toAddr int64, count int) error {
-	cost, err := m.copyPayload(fromNode, fromPlane, fromAddr, toNode, toPlane, toAddr, count)
+	if err := m.checkNode("copy source", fromNode); err != nil {
+		return err
+	}
+	if err := m.checkNode("copy destination", toNode); err != nil {
+		return err
+	}
+	data, err := m.Nodes[fromNode].ReadWords(fromPlane, fromAddr, count)
 	if err != nil {
 		return err
 	}
-	m.CommCycles += cost
+	if err := m.Nodes[toNode].WriteWords(toPlane, toAddr, data); err != nil {
+		return err
+	}
+	m.CommCycles += m.SendCost(int64(count)*int64(m.Cfg.WordBytes), m.hopsAddr(fromNode, toNode))
 	return nil
-}
-
-// copyPayload is the data-movement half of CopyWords: it performs the
-// transfer and returns the router cost without touching the machine's
-// shared accumulators, so concurrent transfers over disjoint node
-// pairs can defer accounting to a deterministic rank-order merge.
-func (m *Machine) copyPayload(fromNode, fromPlane int, fromAddr int64,
-	toNode, toPlane int, toAddr int64, count int) (int64, error) {
-	if err := m.checkNode("copy source", fromNode); err != nil {
-		return 0, err
-	}
-	if err := m.checkNode("copy destination", toNode); err != nil {
-		return 0, err
-	}
-	return m.transfer(m.Nodes[fromNode], fromPlane, fromAddr,
-		m.Nodes[toNode], toPlane, toAddr, count, m.hopsAddr(fromNode, toNode))
-}
-
-// transfer moves count words between two nodes' planes and prices the
-// message over the given hop count — the node-addressed core shared by
-// the physical-address API and the ring-rank fabric (whose ranks may
-// map to any live board after a recovery).
-func (m *Machine) transfer(from *sim.Node, fromPlane int, fromAddr int64,
-	to *sim.Node, toPlane int, toAddr int64, count, hops int) (int64, error) {
-	data, err := from.ReadWords(fromPlane, fromAddr, count)
-	if err != nil {
-		return 0, err
-	}
-	if err := to.WriteWords(toPlane, toAddr, data); err != nil {
-		return 0, err
-	}
-	return m.SendCost(int64(count)*int64(m.Cfg.WordBytes), hops), nil
 }
 
 // fabric adapts the Machine to engine.Fabric: engine ring ranks map to
@@ -325,32 +282,26 @@ func (m *Machine) transfer(from *sim.Node, fromPlane int, fromAddr int64,
 // clocks land on the machine's counters.
 type fabric struct{ m *Machine }
 
-func (f fabric) P() int                  { return len(f.m.ring) }
-func (f fabric) Topology() string        { return f.m.Topo.Name() }
-func (f fabric) ExchangePairs() [2][]int { return f.m.pairs }
-func (f fabric) CombineHops() []int      { return f.m.combineHops }
-func (f fabric) Node(r int) *sim.Node    { return f.m.ring[r] }
-func (f fabric) WordBytes() int          { return f.m.Cfg.WordBytes }
+func (f fabric) P() int               { return len(f.m.ring) }
+func (f fabric) Topology() string     { return f.m.Topo.Name() }
+func (f fabric) CombineHops() []int   { return f.m.combineHops }
+func (f fabric) Node(r int) *sim.Node { return f.m.ring[r] }
+func (f fabric) WordBytes() int       { return f.m.Cfg.WordBytes }
 func (f fabric) SendCost(bytes int64, h int) int64 {
 	return f.m.SendCost(bytes, h)
 }
 
 // Hops implements engine.Fabric over live ring ranks. The engine
-// validates the partition and the exchange schedule against P when a
-// loop starts, so every rank reaching here is live; per the Fabric
-// contract a violation is a caller bug and panics rather than silently
-// pricing a message to a node that does not exist.
+// validates the partition against P when a loop starts and only asks
+// about live ring pairs, so every rank reaching here is live; per the
+// Fabric contract a violation is a caller bug and panics rather than
+// silently pricing a message to a node that does not exist.
 func (f fabric) Hops(from, to int) int {
 	p := len(f.m.ring)
 	if from < 0 || from >= p || to < 0 || to >= p {
 		panic(fmt.Sprintf("hypercube: fabric hops %d->%d outside %d live ranks", from, to, p))
 	}
 	return f.m.hopsAddr(f.m.ringAddr[from], f.m.ringAddr[to])
-}
-func (f fabric) Copy(fromRank, fromPlane int, fromAddr int64,
-	toRank, toPlane int, toAddr int64, count int) (int64, error) {
-	return f.m.transfer(f.m.ring[fromRank], fromPlane, fromAddr,
-		f.m.ring[toRank], toPlane, toAddr, count, f.Hops(fromRank, toRank))
 }
 func (f fabric) Corrupt(r, plane int, addr int64, count int) error {
 	return f.m.corruptNode(f.m.ring[r], plane, addr, count)
@@ -452,10 +403,15 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 	if m.CheckpointEvery < 0 {
 		return nil, diag.Errorf(diag.RuleNegativeCount, "hypercube: checkpoint stride %d is negative", m.CheckpointEvery)
 	}
+	if m.Trap.WatchdogCycles < 0 {
+		return nil, diag.Errorf(diag.RuleNegativeCount, "hypercube: watchdog budget %d is negative", m.Trap.WatchdogCycles)
+	}
+	if err := engine.CheckFaultPoints(m.Faults, m.Fabric()); err != nil {
+		return nil, err
+	}
 	p := m.P()
 	for _, nd := range m.participants() {
 		nd.TrapCfg = m.Trap
-		nd.KernelOff = m.NoKernel
 	}
 	m.ArmObs()
 	inner := global.Nz - 2

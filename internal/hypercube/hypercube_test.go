@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/diag"
 	"repro/internal/jacobi"
+	"repro/internal/topo"
 )
 
 func smallCfg() arch.Config {
@@ -100,7 +101,7 @@ func TestRouteProperty(t *testing.T) {
 func TestGrayRing(t *testing.T) {
 	// Gray-code ring: consecutive ranks are one hop apart.
 	for r := 1; r < 64; r++ {
-		a, b := GrayRank(r-1), GrayRank(r)
+		a, b := topo.Gray(r-1), topo.Gray(r)
 		if d := a ^ b; d&(d-1) != 0 || d == 0 {
 			t.Errorf("gray ranks %d,%d differ in more than one bit", r-1, r)
 		}
@@ -108,10 +109,10 @@ func TestGrayRing(t *testing.T) {
 	// Distinct addresses.
 	seen := map[int]bool{}
 	for r := 0; r < 64; r++ {
-		if seen[GrayRank(r)] {
+		if seen[topo.Gray(r)] {
 			t.Fatal("gray code collision")
 		}
-		seen[GrayRank(r)] = true
+		seen[topo.Gray(r)] = true
 	}
 }
 
@@ -301,13 +302,15 @@ func TestResidualNorm(t *testing.T) {
 	}
 }
 
-// TestNegativeCountsRejected: a negative sweep count, checkpoint stride
-// or spare pool is a typed R041 error, never a silently ignored value.
+// TestNegativeCountsRejected: a negative sweep count, checkpoint stride,
+// watchdog budget or spare pool is a typed R041 error, never a silently
+// ignored value.
 func TestNegativeCountsRejected(t *testing.T) {
 	g := jacobi.NewModelProblem(8, 1e-4, 10)
 	for _, set := range []func(m *Machine) error{
 		func(m *Machine) error { m.StopAfter = -3; _, err := m.SolveJacobi(g); return err },
 		func(m *Machine) error { m.CheckpointEvery = -4; _, err := m.SolveJacobi(g); return err },
+		func(m *Machine) error { m.Trap.WatchdogCycles = -5; _, err := m.SolveJacobi(g); return err },
 		func(m *Machine) error { return m.AddSpares(-2) },
 	} {
 		m, err := New(smallCfg(), 1)

@@ -68,7 +68,7 @@ func (m *Machine) Liveness() Liveness {
 // slots are deleted, shrinking the ring. It returns how many slots
 // were spared and how many shrunk. The caller owns re-partitioning and
 // state restoration; this only fixes the rank → board mapping, the
-// exchange pair classes and the observability shards.
+// combine pricing and the observability shards.
 func (m *Machine) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 	p := len(m.ring)
 	seen := make(map[int]bool, len(dead))
@@ -92,7 +92,6 @@ func (m *Machine) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 		sp := m.Spares[0]
 		m.Spares = m.Spares[1:]
 		sp.TrapCfg = m.Trap
-		sp.KernelOff = m.NoKernel
 		m.deadAddrs = append(m.deadAddrs, m.ringAddr[d])
 		m.ring[d] = sp
 		m.activated = append(m.activated, sp)
@@ -109,8 +108,6 @@ func (m *Machine) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 	if len(m.ring) == 0 {
 		return spared, shrunk, fmt.Errorf("hypercube: no surviving ranks")
 	}
-	np := len(m.ring)
-	m.pairs = m.Topo.ExchangeSchedule(np)
 	m.combineHops = m.Topo.CombineSteps(m.ringAddr)
 	m.ArmObs()
 	return spared, shrunk, nil
@@ -256,7 +253,7 @@ func (s *jacobiSolve) engineConfig(startSweep int, series []float64, skipAt int)
 	m := s.m
 	cfg := &engine.Config{
 		Fabric: m.Fabric(), Part: s.part, Workers: m.Workers,
-		Faults: m.Faults, Retry: m.Retry, SerialExchange: m.SerialExchange,
+		Faults: m.Faults, Retry: m.Retry,
 		Obs: m.Obs, Observe: m.Observe,
 		ResidualFU: arch.FUID(11), // T4 slot 2 under the default triplet layout
 		Instr: func(it, r int) *microcode.Instr {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/topo"
 )
 
 // killPlan builds a plan with one permanent kill per (sweep, rank).
@@ -85,8 +87,8 @@ func TestPermanentKillMatrix(t *testing.T) {
 								t.Fatalf("shrink accounting: %s, liveness %+v", res.Recovery, lv)
 							}
 						}
-						if len(lv.DeadAddrs) != 1 || lv.DeadAddrs[0] != GrayRank(rank) {
-							t.Fatalf("dead addresses %v, want [%d]", lv.DeadAddrs, GrayRank(rank))
+						if len(lv.DeadAddrs) != 1 || lv.DeadAddrs[0] != topo.Gray(rank) {
+							t.Fatalf("dead addresses %v, want [%d]", lv.DeadAddrs, topo.Gray(rank))
 						}
 						// Recovery clocks are seeded-plan functions: a second
 						// run at a different worker count must reproduce them

@@ -179,37 +179,6 @@ func TestCheckpointTopology(t *testing.T) {
 	}
 }
 
-// TestCollectivesOnLattices: the generic trees leave the same values
-// the hypercube schedules do, priced by the lattice metric.
-func TestCollectivesOnLattices(t *testing.T) {
-	for _, name := range []string{"mesh2d", "torus2d"} {
-		m := machineOn(t, name, 3, 0)
-		for n := 0; n < m.P(); n++ {
-			if err := m.Nodes[n].WriteWords(0, 0, []float64{float64(n + 1)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := m.AllReduce(0, 0, 1, ReduceMax); err != nil {
-			t.Fatal(err)
-		}
-		for n := 0; n < m.P(); n++ {
-			got, _ := m.Nodes[n].ReadWords(0, 0, 1)
-			if got[0] != 8 {
-				t.Errorf("%s: node %d = %g after max all-reduce, want 8", name, n, got[0])
-			}
-		}
-		if err := m.Broadcast(3, 1, 10, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Broadcast(99, 1, 10, 1); err == nil {
-			t.Errorf("%s: broadcast root 99 accepted", name)
-		}
-		if m.CommCycles == 0 || m.MachineCycles == 0 {
-			t.Errorf("%s: collectives charged no cycles", name)
-		}
-	}
-}
-
 // TestNewWithTopologyValidation: nil and oversized fabrics are
 // rejected.
 func TestNewWithTopologyValidation(t *testing.T) {

@@ -78,9 +78,6 @@ type DistConfig struct {
 	MaxCycles int
 	// Workers bounds the host worker pool, as in hypercube.Machine.
 	Workers int
-	// SerialExchange forces the two-parity pairwise halo schedule
-	// (identical results; see engine.Config.SerialExchange).
-	SerialExchange bool
 	// Faults injects a deterministic fault plan into the engine loop.
 	// Transient faults retry under Retry; a permanent kill arms the
 	// cycle-boundary mirror and the ring-repair recovery path.
@@ -94,10 +91,6 @@ type DistConfig struct {
 	// level streams are armed by the fabric's owner
 	// (hypercube.Machine.Obs), not here.
 	Obs *obs.Obs
-	// NoKernel pins every rank to the reference interpreter instead of
-	// the specialized execution kernels (sim.Node.KernelOff). Results
-	// are bit-identical either way.
-	NoKernel bool
 }
 
 // DistResult reports a distributed multigrid solve. Machine clocks
@@ -127,6 +120,9 @@ func NewDistributed(dc DistConfig) (*Distributed, error) {
 	}
 	if dc.Levels < 1 {
 		return nil, fmt.Errorf("multigrid: need at least one level")
+	}
+	if err := engine.CheckFaultPoints(dc.Faults, dc.Fabric); err != nil {
+		return nil, err
 	}
 	n := dc.N
 	gp := jacobi.NewModelProblem(n, dc.Tol, 1)
@@ -183,7 +179,6 @@ func (d *Distributed) build() error {
 	pl := pipeline.New(inv)
 	if err := engine.ParallelFor(dc.Workers, p, func(r int) error {
 		nd := dc.Fabric.Node(r)
-		nd.KernelOff = dc.NoKernel
 		lv := d.slabs[r]
 		if err := buildLevel(pl, lv, dc.Tol); err != nil {
 			return fmt.Errorf("multigrid: rank %d slab: %w", r, err)
@@ -212,12 +207,11 @@ func (d *Distributed) build() error {
 	}
 	d.loop, err = engine.NewLoop(&engine.Config{
 		Fabric: dc.Fabric, Part: part, Workers: dc.Workers,
-		ResidualFU:     arch.FUID(11), // T4 slot 2: the residual reduce
-		SerialExchange: dc.SerialExchange,
-		Faults:         dc.Faults,
-		Retry:          dc.Retry,
-		Observe:        dc.Observe,
-		Obs:            dc.Obs,
+		ResidualFU: arch.FUID(11), // T4 slot 2: the residual reduce
+		Faults:     dc.Faults,
+		Retry:      dc.Retry,
+		Observe:    dc.Observe,
+		Obs:        dc.Obs,
 	})
 	return err
 }

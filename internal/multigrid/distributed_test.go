@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/codegen"
+	"repro/internal/diag"
 	"repro/internal/diagram"
 	"repro/internal/editor"
 	"repro/internal/engine"
@@ -43,50 +44,45 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 	ref := distRef(t, cfg, n, levels, tol, maxCycles)
 	for _, dim := range []int{0, 1, 2, 3} {
 		for _, workers := range []int{1, 4} {
-			for _, serial := range []bool{false, true} {
-				if serial && (dim != 2 || workers != 4) {
-					continue // one serial-schedule probe is enough
+			m, err := hypercube.New(cfg, dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := NewDistributed(DistConfig{
+				Fabric: m.Fabric(), Cfg: cfg,
+				N: n, Levels: levels, Tol: tol, MaxCycles: maxCycles,
+				Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := d.Run()
+			if err != nil {
+				t.Fatalf("P=%d workers=%d: %v", m.P(), workers, err)
+			}
+			if res.VCycles != ref.VCycles || !res.Converged {
+				t.Fatalf("P=%d workers=%d: %d V-cycles (converged=%v), single-node %d",
+					m.P(), workers, res.VCycles, res.Converged, ref.VCycles)
+			}
+			if len(res.ResidualSeries) != len(ref.ResidualSeries) {
+				t.Fatalf("P=%d workers=%d: series %d entries, single-node %d",
+					m.P(), workers, len(res.ResidualSeries), len(ref.ResidualSeries))
+			}
+			for i := range ref.ResidualSeries {
+				if res.ResidualSeries[i] != ref.ResidualSeries[i] {
+					t.Fatalf("P=%d workers=%d: residual[%d] = %g, single-node %g",
+						m.P(), workers, i, res.ResidualSeries[i], ref.ResidualSeries[i])
 				}
-				m, err := hypercube.New(cfg, dim)
-				if err != nil {
-					t.Fatal(err)
+			}
+			for g := range ref.U {
+				if res.U[g] != ref.U[g] {
+					t.Fatalf("P=%d workers=%d: u[%d] = %g, single-node %g",
+						m.P(), workers, g, res.U[g], ref.U[g])
 				}
-				d, err := NewDistributed(DistConfig{
-					Fabric: m.Fabric(), Cfg: cfg,
-					N: n, Levels: levels, Tol: tol, MaxCycles: maxCycles,
-					Workers: workers, SerialExchange: serial,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := d.Run()
-				if err != nil {
-					t.Fatalf("P=%d workers=%d: %v", m.P(), workers, err)
-				}
-				if res.VCycles != ref.VCycles || !res.Converged {
-					t.Fatalf("P=%d workers=%d serial=%v: %d V-cycles (converged=%v), single-node %d",
-						m.P(), workers, serial, res.VCycles, res.Converged, ref.VCycles)
-				}
-				if len(res.ResidualSeries) != len(ref.ResidualSeries) {
-					t.Fatalf("P=%d workers=%d: series %d entries, single-node %d",
-						m.P(), workers, len(res.ResidualSeries), len(ref.ResidualSeries))
-				}
-				for i := range ref.ResidualSeries {
-					if res.ResidualSeries[i] != ref.ResidualSeries[i] {
-						t.Fatalf("P=%d workers=%d: residual[%d] = %g, single-node %g",
-							m.P(), workers, i, res.ResidualSeries[i], ref.ResidualSeries[i])
-					}
-				}
-				for g := range ref.U {
-					if res.U[g] != ref.U[g] {
-						t.Fatalf("P=%d workers=%d: u[%d] = %g, single-node %g",
-							m.P(), workers, g, res.U[g], ref.U[g])
-					}
-				}
-				if m.MachineCycles == 0 || (m.P() > 1 && m.CommCycles == 0) {
-					t.Errorf("P=%d: clocks not charged (machine=%d comm=%d)",
-						m.P(), m.MachineCycles, m.CommCycles)
-				}
+			}
+			if m.MachineCycles == 0 || (m.P() > 1 && m.CommCycles == 0) {
+				t.Errorf("P=%d: clocks not charged (machine=%d comm=%d)",
+					m.P(), m.MachineCycles, m.CommCycles)
 			}
 		}
 	}
@@ -135,6 +131,12 @@ func TestDistributedRejectsBadShapes(t *testing.T) {
 	}
 	if _, err := NewDistributed(DistConfig{Fabric: m.Fabric(), Cfg: cfg, N: 17, Levels: 0, Tol: 1e-6, MaxCycles: 1}); err == nil {
 		t.Error("zero levels accepted")
+	}
+	// A fault aimed past the ring can never fire: a typed R040 error.
+	plan := engine.MustFaultPlan(engine.FaultEvent{Sweep: 1, Phase: engine.PhaseExchange, Rank: 3, Kind: engine.FaultKill})
+	_, err = NewDistributed(DistConfig{Fabric: m.Fabric(), Cfg: cfg, N: 17, Levels: 2, Tol: 1e-6, MaxCycles: 1, Faults: plan})
+	if got := diag.AsDiagnostic(err, "").Rule; err == nil || got != diag.RuleFaultPlan {
+		t.Errorf("out-of-range exchange pair: %v (rule %q)", err, got)
 	}
 }
 

@@ -15,6 +15,7 @@ package difftest
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -272,21 +273,10 @@ func jacobiSignatureOn(topology string, workers int, configure func(*hypercube.M
 func Scenarios() []Scenario {
 	return []Scenario{
 		{
-			// The fault-free overlapped-halo baseline.
+			// The fault-free baseline.
 			Name: "jacobi/clean",
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignature(workers, nil)
-			},
-		},
-		{
-			// The serial two-parity halo schedule: same contract, other
-			// exchange path.
-			Name: "jacobi/serial-exchange",
-			Run: func(workers int) (*Signature, error) {
-				return jacobiSignature(workers, func(m *hypercube.Machine) error {
-					m.SerialExchange = true
-					return nil
-				})
 			},
 		},
 		{
@@ -442,6 +432,14 @@ func Scenarios() []Scenario {
 	}
 }
 
+// pinKernels pins every board of the machine, spares included, to the
+// reference interpreter (off=true) or the specialized kernels.
+func pinKernels(m *hypercube.Machine, off bool) {
+	for _, nd := range slices.Concat(m.Nodes, m.Spares) {
+		nd.KernelOff = off
+	}
+}
+
 // Topologies lists the fabrics the topology battery covers — every
 // name internal/topo ships.
 func Topologies() []string { return topo.Names() }
@@ -457,10 +455,12 @@ func KernelBattery(topology string) []Scenario {
 	jacobiPair := func(configure func(*hypercube.Machine) error) func(int) (*Signature, error) {
 		run := func(workers int, noKernel bool) (*Signature, error) {
 			return jacobiSignatureOn(topology, workers, func(m *hypercube.Machine) error {
-				m.NoKernel = noKernel
 				if configure != nil {
-					return configure(m)
+					if err := configure(m); err != nil {
+						return err
+					}
 				}
+				pinKernels(m, noKernel)
 				return nil
 			})
 		}
@@ -511,7 +511,7 @@ func KernelBattery(topology string) []Scenario {
 			}),
 		},
 		{
-			// The distributed multigrid engine, pinned through DistConfig.
+			// The distributed multigrid engine, pinned on the machine's boards.
 			Name: "kernel/multigrid@" + topology,
 			Run: func(workers int) (*Signature, error) {
 				run := func(noKernel bool) (*Signature, error) {
@@ -523,6 +523,7 @@ func KernelBattery(topology string) []Scenario {
 					o := obs.New()
 					m.Obs = o
 					m.ArmObs()
+					pinKernels(m, noKernel)
 					d, err := multigrid.NewDistributed(multigrid.DistConfig{
 						Fabric:    m.Fabric(),
 						Cfg:       smallCfg(),
@@ -532,7 +533,6 @@ func KernelBattery(topology string) []Scenario {
 						MaxCycles: 100,
 						Workers:   workers,
 						Obs:       o,
-						NoKernel:  noKernel,
 					})
 					if err != nil {
 						return nil, err

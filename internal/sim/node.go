@@ -268,8 +268,8 @@ func (n *Node) ReadWords(plane int, addr int64, count int) ([]float64, error) {
 
 // ReadWordsInto fetches len(dst) words from plane starting at addr
 // into a caller-owned buffer — the allocation-free path for callers
-// that read the same extent every iteration (halo gathers,
-// collectives).
+// that read the same extent every iteration (halo gathers, host
+// transfers).
 func (n *Node) ReadWordsInto(plane int, addr int64, dst []float64) error {
 	if plane < 0 || plane >= len(n.Mem) {
 		return fmt.Errorf("sim: plane %d out of range", plane)

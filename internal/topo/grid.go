@@ -13,8 +13,8 @@ import "fmt"
 // single-hop, exactly as on the hypercube's Gray ring. What changes
 // against the hypercube is the distance metric — Manhattan (with
 // per-axis wraparound on the torus) instead of Hamming — which reprices
-// the combine tree, scatter traffic and collectives without touching
-// any data movement, so solver results are bit-identical across
+// the combine tree and scatter traffic without touching any data
+// movement, so solver results are bit-identical across
 // fabrics.
 type grid struct {
 	name       string
@@ -159,35 +159,16 @@ func (g *grid) Route(from, to int) ([]int, error) {
 	return path, nil
 }
 
-// ExchangeSchedule implements Topology.
-func (g *grid) ExchangeSchedule(p int) [2][]int { return RingSchedule(p) }
-
-// Mesh2D and Torus2D implement the schedule methods on the concrete
-// types (not the embedded grid) so the tree builders price edges with
-// the right axis metric through the Topology they are handed.
+// Mesh2D and Torus2D implement CombineSteps on the concrete types (not
+// the embedded grid) so the combine is priced with the right axis
+// metric through the Topology it is handed.
 
 // CombineSteps implements Topology: the rank-space butterfly priced by
 // the lattice metric. Unlike the hypercube, whose routers pair one hop
 // per round, a lattice pays real distance for the long butterfly pairs
 // — the cross-topology clock difference the bench records measure.
-func (m *Mesh2D) CombineSteps(addrs []int) []int { return stepsOf(genericAllReduce(m, addrs)) }
-
-// AllReduceTree implements Topology.
-func (m *Mesh2D) AllReduceTree(addrs []int) []Round { return genericAllReduce(m, addrs) }
-
-// BroadcastTree implements Topology.
-func (m *Mesh2D) BroadcastTree(root int, addrs []int) ([]Round, error) {
-	return genericBroadcast(m, root, addrs)
-}
+func (m *Mesh2D) CombineSteps(addrs []int) []int { return genericAllReduce(m, addrs) }
 
 // CombineSteps implements Topology (see Mesh2D.CombineSteps; the torus
 // metric shortens the long pairs by wrapping around).
-func (t *Torus2D) CombineSteps(addrs []int) []int { return stepsOf(genericAllReduce(t, addrs)) }
-
-// AllReduceTree implements Topology.
-func (t *Torus2D) AllReduceTree(addrs []int) []Round { return genericAllReduce(t, addrs) }
-
-// BroadcastTree implements Topology.
-func (t *Torus2D) BroadcastTree(root int, addrs []int) ([]Round, error) {
-	return genericBroadcast(t, root, addrs)
-}
+func (t *Torus2D) CombineSteps(addrs []int) []int { return genericAllReduce(t, addrs) }

@@ -90,9 +90,6 @@ func (h *Hypercube) Route(from, to int) ([]int, error) {
 	return path, nil
 }
 
-// ExchangeSchedule implements Topology.
-func (h *Hypercube) ExchangeSchedule(p int) [2][]int { return RingSchedule(p) }
-
 // CombineSteps implements Topology. The hyperspace routers pair nodes
 // one hop apart on every recursive-doubling round, so the combine over
 // p live ranks is ⌈log₂p⌉ single-hop rounds. This is a modeling choice
@@ -109,72 +106,4 @@ func (h *Hypercube) CombineSteps(addrs []int) []int {
 		steps[i] = 1
 	}
 	return steps
-}
-
-// pristine reports whether the live embedding is the full untouched
-// Gray ring, for which the classic physical-address collectives apply.
-func (h *Hypercube) pristine(addrs []int) bool {
-	if len(addrs) != h.P() {
-		return false
-	}
-	for r, a := range addrs {
-		if a != Gray(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// AllReduceTree implements Topology. On the pristine embedding it is
-// the classic recursive doubling over physical addresses — round d
-// pairs each node with its dimension-d neighbour, every message one hop
-// — bit- and cost-identical to the machine's original collective. A
-// ring disturbed by recovery falls back to the generic rank-space
-// butterfly priced by the Hamming metric.
-func (h *Hypercube) AllReduceTree(addrs []int) []Round {
-	if !h.pristine(addrs) {
-		return genericAllReduce(h, addrs)
-	}
-	p := h.P()
-	if p <= 1 {
-		return nil
-	}
-	rounds := make([]Round, h.dim)
-	for d := 0; d < h.dim; d++ {
-		bit := 1 << uint(d)
-		rd := Round{Hops: 1}
-		for n := 0; n < p; n++ {
-			src, _ := h.RankOf(n ^ bit)
-			dst, _ := h.RankOf(n)
-			rd.Edges = append(rd.Edges, Edge{Src: src, Dst: dst})
-		}
-		rounds[d] = rd
-	}
-	return rounds
-}
-
-// BroadcastTree implements Topology. On the pristine embedding it is
-// the classic binomial tree over physical addresses relative to the
-// root — d rounds of single-hop messages, 2^d−1 messages total — and
-// otherwise the generic rank-space binomial tree.
-func (h *Hypercube) BroadcastTree(root int, addrs []int) ([]Round, error) {
-	if !h.pristine(addrs) {
-		return genericBroadcast(h, root, addrs)
-	}
-	if root < 0 || root >= len(addrs) {
-		return nil, fmt.Errorf("topo: broadcast root %d outside %d ranks", root, len(addrs))
-	}
-	rootAddr := addrs[root]
-	rounds := make([]Round, h.dim)
-	for d := 0; d < h.dim; d++ {
-		bit := 1 << uint(d)
-		rd := Round{Copy: true, Hops: 1}
-		for rel := 0; rel < bit; rel++ {
-			src, _ := h.RankOf(rootAddr ^ rel)
-			dst, _ := h.RankOf(rootAddr ^ rel ^ bit)
-			rd.Edges = append(rd.Edges, Edge{Src: src, Dst: dst})
-		}
-		rounds[d] = rd
-	}
-	return rounds, nil
 }

@@ -1,10 +1,10 @@
 // Package topo is the interconnect layer of the simulated machine: the
 // mapping from the solver engine's ring ranks onto a physical fabric,
-// and the communication schedules whose shape depends on that fabric.
+// and the residual-combine pricing whose shape depends on that fabric.
 // The engine and the solvers address nodes as a ring (rank r exchanges
 // ghost faces with r-1 and r+1 and joins a log₂P residual combine); a
 // Topology decides which physical node serves each rank, how far apart
-// two physical addresses are, and what the collective trees cost.
+// two physical addresses are, and what the residual combine costs.
 //
 // Three fabrics ship: Hypercube (the paper's machine — a Gray-code ring
 // embedding with e-cube routing), Mesh2D and Torus2D (the lattice
@@ -35,9 +35,9 @@ import "fmt"
 // Two address spaces are in play: ring ranks 0..P-1 (what the engine
 // and solvers speak) and physical addresses 0..P-1 (positions in the
 // fabric: hypercube corners, grid cells). Addr/RankOf translate between
-// them; Hops and Route speak physical addresses; the schedule methods
-// take live embeddings (addrs[r] = the physical address serving rank r)
-// so they keep working after degraded-mode recovery reshapes the ring.
+// them; Hops and Route speak physical addresses; CombineSteps takes a
+// live embedding (addrs[r] = the physical address serving rank r) so it
+// keeps working after degraded-mode recovery reshapes the ring.
 type Topology interface {
 	// Name is the fabric's canonical tag: "hypercube", "mesh2d",
 	// "torus2d". It keys checkpoint metadata and obs metrics.
@@ -57,38 +57,10 @@ type Topology interface {
 	// addresses, endpoints included: len(Route(a,b))-1 == Hops(a,b) and
 	// consecutive entries are always one hop apart.
 	Route(from, to int) ([]int, error)
-	// ExchangeSchedule returns the two parity classes of the ring
-	// ghost-exchange pairs over p live ranks: class c holds the lower
-	// ranks r (parity c) of pairs (r, r+1). Within one class no two
-	// pairs share a rank, so a class exchanges concurrently; the two
-	// classes together cover every ring edge exactly once per sweep.
-	ExchangeSchedule(p int) [2][]int
 	// CombineSteps returns the engine's residual-combine pricing: one
 	// entry per combine round, each the round's critical-path hop count,
 	// for a ring living on the given embedding. Empty for one rank.
 	CombineSteps(addrs []int) []int
-	// AllReduceTree returns the rounds of an all-reduce over the live
-	// embedding: every rank ends holding the combination of all ranks'
-	// values. Non-power-of-two rank counts fold the excess ranks into
-	// the power-of-two core first and copy the result back out last.
-	AllReduceTree(addrs []int) []Round
-	// BroadcastTree returns the rounds that propagate rank root's value
-	// to every rank of the live embedding (all rounds are Copy rounds).
-	BroadcastTree(root int, addrs []int) ([]Round, error)
-}
-
-// Edge is one message of a collective round, in ring-rank space.
-type Edge struct{ Src, Dst int }
-
-// Round is one step of a collective tree: messages that cross the
-// fabric concurrently. Combine rounds fold Src's value into Dst's
-// (dst = op(dst, src), reading round-start snapshots so the exchanges
-// are simultaneous); Copy rounds overwrite Dst with Src's value.
-type Round struct {
-	Edges []Edge
-	Copy  bool
-	// Hops is the round's critical-path hop count: the worst edge.
-	Hops int
 }
 
 // New builds a topology by name over p physical nodes. Accepted names:
@@ -134,26 +106,14 @@ func nearSquare(p int) (rows, cols int) {
 	return rows, p / rows
 }
 
-// RingSchedule is the canonical two-parity exchange schedule every
-// shipped topology uses: pairs (r, r+1) split by the parity of r.
-func RingSchedule(p int) [2][]int {
-	var sched [2][]int
-	for parity := 0; parity < 2; parity++ {
-		for r := parity; r+1 < p; r += 2 {
-			sched[parity] = append(sched[parity], r)
-		}
-	}
-	return sched
-}
-
-// mustHops prices an edge of a collective tree. The embeddings handed
-// to the schedule methods come from the machine's live ring, whose
-// addresses are validated at construction and on every recovery, so an
-// out-of-range address here is a caller bug, not an input error.
+// mustHops prices one combine message. The embeddings handed to
+// CombineSteps come from the machine's live ring, whose addresses are
+// validated at construction and on every recovery, so an out-of-range
+// address here is a caller bug, not an input error.
 func mustHops(t Topology, from, to int) int {
 	h, err := t.Hops(from, to)
 	if err != nil {
-		panic(fmt.Sprintf("topo: %s schedule over invalid embedding: %v", t.Name(), err))
+		panic(fmt.Sprintf("topo: %s combine over invalid embedding: %v", t.Name(), err))
 	}
 	return h
 }
@@ -167,83 +127,35 @@ func floorPow2(n int) int {
 	return m
 }
 
-// genericAllReduce builds the rank-space recursive-doubling all-reduce
-// over a live embedding, priced by the fabric's hop metric: an optional
-// fold round squashes ranks ≥ 2^⌊log₂n⌋ into the power-of-two core, the
-// butterfly pairs ranks across each rank-space bit, and an unfold copy
-// round restores the folded ranks. Used by the lattice fabrics always
-// and by the hypercube once recovery has disturbed its embedding.
-func genericAllReduce(t Topology, addrs []int) []Round {
+// genericAllReduce prices the rank-space recursive-doubling all-reduce
+// over a live embedding by the fabric's hop metric, returning each
+// round's critical-path hop count: an optional fold round squashes
+// ranks ≥ 2^⌊log₂n⌋ into the power-of-two core, the butterfly pairs
+// ranks across each rank-space bit, and an unfold round restores the
+// folded ranks. It is the lattice fabrics' CombineSteps.
+func genericAllReduce(t Topology, addrs []int) []int {
 	n := len(addrs)
 	if n <= 1 {
 		return nil
 	}
 	m := floorPow2(n)
-	var rounds []Round
-	fold := func(cp bool) Round {
-		rd := Round{Copy: cp}
-		for r := m; r < n; r++ {
-			src, dst := r, r-m
-			if cp {
-				src, dst = dst, src
-			}
-			rd.Edges = append(rd.Edges, Edge{Src: src, Dst: dst})
-			if h := mustHops(t, addrs[src], addrs[dst]); h > rd.Hops {
-				rd.Hops = h
-			}
-		}
-		return rd
+	fold := 0
+	for r := m; r < n; r++ {
+		fold = max(fold, mustHops(t, addrs[r], addrs[r-m]))
 	}
+	var steps []int
 	if n > m {
-		rounds = append(rounds, fold(false))
+		steps = append(steps, fold)
 	}
 	for bit := 1; bit < m; bit <<= 1 {
-		rd := Round{}
+		worst := 0
 		for r := 0; r < m; r++ {
-			peer := r ^ bit
-			rd.Edges = append(rd.Edges, Edge{Src: peer, Dst: r})
-			if h := mustHops(t, addrs[r], addrs[peer]); h > rd.Hops {
-				rd.Hops = h
-			}
+			worst = max(worst, mustHops(t, addrs[r], addrs[r^bit]))
 		}
-		rounds = append(rounds, rd)
+		steps = append(steps, worst)
 	}
 	if n > m {
-		rounds = append(rounds, fold(true))
-	}
-	return rounds
-}
-
-// genericBroadcast builds the rank-space binomial broadcast from root
-// over a live embedding: round k doubles the holder set along the
-// virtual ring (r - root) mod n, each message priced by the embedding.
-func genericBroadcast(t Topology, root int, addrs []int) ([]Round, error) {
-	n := len(addrs)
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("topo: broadcast root %d outside %d ranks", root, n)
-	}
-	var rounds []Round
-	for bit := 1; bit < n; bit <<= 1 {
-		rd := Round{Copy: true}
-		for v := 0; v < bit && v+bit < n; v++ {
-			src := (root + v) % n
-			dst := (root + v + bit) % n
-			rd.Edges = append(rd.Edges, Edge{Src: src, Dst: dst})
-			if h := mustHops(t, addrs[src], addrs[dst]); h > rd.Hops {
-				rd.Hops = h
-			}
-		}
-		rounds = append(rounds, rd)
-	}
-	return rounds, nil
-}
-
-// stepsOf projects a collective tree onto the engine's pricing shape:
-// the per-round critical-path hop counts.
-func stepsOf(rounds []Round) []int {
-	steps := make([]int, len(rounds))
-	for i, rd := range rounds {
-		steps[i] = rd.Hops
+		steps = append(steps, fold)
 	}
 	return steps
 }

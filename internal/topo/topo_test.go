@@ -1,8 +1,8 @@
 package topo
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -46,9 +46,8 @@ func pristineAddrs(tp Topology) []int {
 
 // TestTopologyProperties pins the embedding invariants the engine's
 // cost model relies on, for every fabric: Addr is a bijection inverted
-// by RankOf, ring neighbours sit one hop apart, routes are minimal,
-// in-bounds and single-step, and the exchange schedule covers each
-// ring edge exactly once per sweep.
+// by RankOf, ring neighbours sit one hop apart, and routes are
+// minimal, in-bounds and single-step.
 func TestTopologyProperties(t *testing.T) {
 	for name, tp := range fabrics(t) {
 		t.Run(name, func(t *testing.T) {
@@ -113,29 +112,6 @@ func TestTopologyProperties(t *testing.T) {
 				}
 			}
 
-			// Exchange schedule: the two parity classes cover each ring
-			// edge exactly once, and no rank appears twice in one class.
-			sched := tp.ExchangeSchedule(p)
-			edges := map[int]int{}
-			for parity, class := range sched {
-				inClass := map[int]bool{}
-				for _, r := range class {
-					if r%2 != parity || r < 0 || r+1 >= p {
-						t.Fatalf("class %d holds pair (%d,%d)", parity, r, r+1)
-					}
-					if inClass[r] || inClass[r+1] {
-						t.Fatalf("class %d reuses a rank of pair (%d,%d)", parity, r, r+1)
-					}
-					inClass[r], inClass[r+1] = true, true
-					edges[r]++
-				}
-			}
-			for r := 0; r+1 < p; r++ {
-				if edges[r] != 1 {
-					t.Errorf("ring edge (%d,%d) scheduled %d times, want once", r, r+1, edges[r])
-				}
-			}
-
 			// Out-of-range addresses are rejected, never silently priced.
 			for _, bad := range []int{-1, p} {
 				if _, err := tp.Hops(bad, 0); err == nil {
@@ -158,79 +134,80 @@ func TestTopologyProperties(t *testing.T) {
 	}
 }
 
-// applyRounds executes a collective schedule the way the machine does:
-// per round, read a snapshot, then run every edge off it.
-func applyRounds(t *testing.T, rounds []Round, vals []float64, op func(a, b float64) float64) []float64 {
-	t.Helper()
-	cur := append([]float64(nil), vals...)
-	for _, rd := range rounds {
-		snap := append([]float64(nil), cur...)
-		for _, e := range rd.Edges {
-			if e.Src < 0 || e.Src >= len(cur) || e.Dst < 0 || e.Dst >= len(cur) {
-				t.Fatalf("edge %+v outside %d ranks", e, len(cur))
-			}
-			if rd.Copy {
-				cur[e.Dst] = snap[e.Src]
-			} else {
-				cur[e.Dst] = op(snap[e.Dst], snap[e.Src])
-			}
-		}
+// butterfly is the reference residual-combine tree over n ranks, in
+// rank space: an optional fold of ranks ≥ m = 2^⌊log₂n⌋ onto r−m, one
+// round per rank-space bit below m, and the unfold. Each round lists
+// its message pairs.
+func butterfly(n int) [][][2]int {
+	if n <= 1 {
+		return nil
 	}
-	return cur
+	m := floorPow2(n)
+	var fold [][2]int
+	for r := m; r < n; r++ {
+		fold = append(fold, [2]int{r, r - m})
+	}
+	var rounds [][][2]int
+	if n > m {
+		rounds = append(rounds, fold)
+	}
+	for bit := 1; bit < m; bit <<= 1 {
+		var rd [][2]int
+		for r := 0; r < m; r++ {
+			rd = append(rd, [2]int{r, r ^ bit})
+		}
+		rounds = append(rounds, rd)
+	}
+	if n > m {
+		rounds = append(rounds, fold)
+	}
+	return rounds
 }
 
-// TestCollectiveTrees checks, for every fabric, that the all-reduce
-// tree leaves every rank holding the global combination and the
-// broadcast tree propagates any root's value everywhere — including
-// the non-power-of-two rank counts a shrink leaves behind.
+// combineRef prices the reference tree over an embedding: each round
+// costs its worst pair's distance under the fabric metric.
+func combineRef(t *testing.T, tp Topology, addrs []int) []int {
+	t.Helper()
+	var steps []int
+	for _, rd := range butterfly(len(addrs)) {
+		worst := 0
+		for _, e := range rd {
+			h, err := tp.Hops(addrs[e[0]], addrs[e[1]])
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst = max(worst, h)
+		}
+		steps = append(steps, worst)
+	}
+	return steps
+}
+
+// TestCollectiveTrees checks, for every fabric, the shape of the
+// residual-combine tree: one round per reference butterfly round —
+// ⌈log₂P⌉ on the hypercube and on power-of-two lattices, plus a fold
+// and an unfold round otherwise — and none for a single rank.
 func TestCollectiveTrees(t *testing.T) {
 	for name, tp := range fabrics(t) {
 		t.Run(name, func(t *testing.T) {
-			addrs := pristineAddrs(tp)
-			p := len(addrs)
-			vals := make([]float64, p)
-			for r := range vals {
-				vals[r] = math.Pow(2, float64(r)) // exact under +
-			}
-			want := 0.0
-			for _, v := range vals {
-				want += v
-			}
-			got := applyRounds(t, tp.AllReduceTree(addrs), vals, func(a, b float64) float64 { return a + b })
-			for r, v := range got {
-				if v != want {
-					t.Fatalf("all-reduce left rank %d with %g, want %g", r, v, want)
+			p := tp.P()
+			steps := tp.CombineSteps(pristineAddrs(tp))
+			want := len(butterfly(p))
+			if _, ok := tp.(*Hypercube); ok {
+				want = 0
+				for 1<<want < p {
+					want++
 				}
 			}
-			for root := 0; root < p; root++ {
-				rounds, err := tp.BroadcastTree(root, addrs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := applyRounds(t, rounds, vals, nil)
-				for r := range got {
-					if got[r] != vals[root] {
-						t.Fatalf("broadcast from %d left rank %d with %g, want %g", root, r, got[r], vals[root])
-					}
-				}
-				for _, rd := range rounds {
-					if !rd.Copy {
-						t.Fatal("broadcast emitted a combine round")
-					}
-				}
-			}
-			if _, err := tp.BroadcastTree(-1, addrs); err == nil {
-				t.Error("broadcast root -1 accepted")
-			}
-			if _, err := tp.BroadcastTree(p, addrs); err == nil {
-				t.Errorf("broadcast root %d accepted", p)
+			if len(steps) != want {
+				t.Errorf("%d combine rounds over %d ranks, want %d", len(steps), p, want)
 			}
 		})
 	}
 }
 
-// TestShrunkenEmbeddings drives the generic trees over the rings
-// recovery produces: a survivor subset of a hypercube's Gray addresses
+// TestShrunkenEmbeddings prices the combine over the rings recovery
+// produces: a survivor subset of a hypercube's Gray addresses
 // (non-power-of-two, no longer pristine) and a shrunken grid ring.
 func TestShrunkenEmbeddings(t *testing.T) {
 	h, _ := NewHypercube(3)
@@ -238,39 +215,39 @@ func TestShrunkenEmbeddings(t *testing.T) {
 	for name, tc := range map[string]struct {
 		tp    Topology
 		addrs []int
+		want  []int
 	}{
-		"hypercube-minus-two": {h, []int{0, 1, 3, 7, 5, 4}},
-		"mesh-minus-three":    {m, []int{0, 1, 2, 3, 6}},
+		"hypercube-minus-two": {h, []int{0, 1, 3, 7, 5, 4}, []int{1, 1, 1}},
+		"mesh-minus-three":    {m, []int{0, 1, 2, 3, 6}, []int{3, 1, 2, 3}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			n := len(tc.addrs)
-			vals := make([]float64, n)
-			for r := range vals {
-				vals[r] = float64(r + 1)
+			if got := tc.tp.CombineSteps(tc.addrs); !slices.Equal(got, tc.want) {
+				t.Errorf("combine steps %v, want %v", got, tc.want)
 			}
-			got := applyRounds(t, tc.tp.AllReduceTree(tc.addrs), vals,
-				func(a, b float64) float64 { return math.Max(a, b) })
-			for r, v := range got {
-				if v != float64(n) {
-					t.Fatalf("all-reduce left rank %d with %g, want %g", r, v, float64(n))
-				}
-			}
-			steps := tc.tp.CombineSteps(tc.addrs)
-			if len(steps) == 0 {
-				t.Fatal("no combine rounds for a multi-rank ring")
-			}
-			for root := 0; root < n; root++ {
-				rounds, err := tc.tp.BroadcastTree(root, tc.addrs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for r, v := range applyRounds(t, rounds, vals, nil) {
-					if v != vals[root] {
-						t.Fatalf("broadcast from %d left rank %d with %g", root, r, v)
-					}
+			if _, ok := tc.tp.(*Hypercube); !ok {
+				if ref := combineRef(t, tc.tp, tc.addrs); !slices.Equal(ref, tc.want) {
+					t.Errorf("reference tree prices %v, want %v", ref, tc.want)
 				}
 			}
 		})
+	}
+}
+
+// TestRoundHopsAreCriticalPath: each combine round charges its worst
+// pair's distance under the fabric metric — on the hypercube, whose
+// routers pair one hop per round, that is always one.
+func TestRoundHopsAreCriticalPath(t *testing.T) {
+	for name, tp := range fabrics(t) {
+		addrs := pristineAddrs(tp)
+		want := combineRef(t, tp, addrs)
+		if _, ok := tp.(*Hypercube); ok {
+			for i := range want {
+				want[i] = 1
+			}
+		}
+		if got := tp.CombineSteps(addrs); !slices.Equal(got, want) {
+			t.Errorf("%s: combine steps %v, want %v", name, got, want)
+		}
 	}
 }
 
@@ -311,41 +288,11 @@ func TestCombineStepsPricing(t *testing.T) {
 		if steps := tp.CombineSteps([]int{0}); len(steps) != 0 {
 			t.Errorf("%s: single-rank combine steps %v", name, steps)
 		}
-		if rounds := tp.AllReduceTree([]int{0}); len(rounds) != 0 {
-			t.Errorf("%s: single-rank all-reduce rounds %v", name, rounds)
-		}
 	}
 	// The hypercube's all-ones pricing holds even for shrunken rings.
 	h, _ := NewHypercube(3)
 	if steps := h.CombineSteps(make([]int, 5)); len(steps) != 3 {
 		t.Errorf("5 survivors price %d combine rounds, want 3", len(steps))
-	}
-}
-
-// TestRoundHopsAreCriticalPath: each round's Hops equals the worst
-// edge's distance under the fabric metric.
-func TestRoundHopsAreCriticalPath(t *testing.T) {
-	for name, tp := range fabrics(t) {
-		addrs := pristineAddrs(tp)
-		rounds := tp.AllReduceTree(addrs)
-		if br, err := tp.BroadcastTree(0, addrs); err == nil {
-			rounds = append(rounds, br...)
-		}
-		for i, rd := range rounds {
-			worst := 0
-			for _, e := range rd.Edges {
-				h, err := tp.Hops(addrs[e.Src], addrs[e.Dst])
-				if err != nil {
-					t.Fatalf("%s round %d: %v", name, i, err)
-				}
-				if h > worst {
-					worst = h
-				}
-			}
-			if rd.Hops != worst {
-				t.Errorf("%s round %d charges %d hops, worst edge is %d", name, i, rd.Hops, worst)
-			}
-		}
 	}
 }
 
@@ -421,8 +368,8 @@ func popcount(x int) int {
 	return n
 }
 
-// TestInvalidEmbeddingPanics: schedule building over an embedding with
-// out-of-range addresses is a caller bug and must panic loudly.
+// TestInvalidEmbeddingPanics: pricing the combine over an embedding
+// with out-of-range addresses is a caller bug and must panic loudly.
 func TestInvalidEmbeddingPanics(t *testing.T) {
 	m, _ := NewMesh2D(2, 2)
 	defer func() {
@@ -430,5 +377,5 @@ func TestInvalidEmbeddingPanics(t *testing.T) {
 			t.Error("invalid embedding priced silently")
 		}
 	}()
-	m.AllReduceTree([]int{0, 99, 2, 3})
+	m.CombineSteps([]int{0, 99, 2, 3})
 }

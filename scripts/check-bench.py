@@ -17,7 +17,6 @@ import sys
 # freely; removing one is a CI failure until this list agrees.
 REQUIRED = [
     "engine-overlap/overlap",
-    "engine-overlap/serial",
     "plan-cache/warm-exec",
     "kernel-exec/warm",
     "kernel-exec/interp",
