@@ -144,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, f := range []struct {
 		name string
 		v    int64
-	}{{"sweeps", int64(*sweeps)}, {"spares", int64(*spares)}, {"checkpoint-every", int64(*ckEvery)}, {"watchdog", *watchdog}} {
+	}{{"sweeps", int64(*sweeps)}, {"spares", int64(*spares)}, {"checkpoint-every", int64(*ckEvery)}, {"watchdog", *watchdog}, {"max", *max}} {
 		if f.v < 0 {
 			err := diag.Errorf(diag.RuleNegativeCount, "-%s %d: must not be negative", f.name, f.v)
 			fmt.Fprintf(stderr, "nscsim: %s [%s]\n", err, err.Rule())

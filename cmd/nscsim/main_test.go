@@ -124,6 +124,7 @@ func TestJacobiNegativeCounts(t *testing.T) {
 		{"neg-spares", "-spares", "-2"},
 		{"neg-checkpoint-every", "-checkpoint-every", "-4"},
 		{"neg-watchdog", "-watchdog", "-5"},
+		{"neg-max", "-max", "-5"},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			stdout, stderr, code := runCLI(t, "-jacobi", "16", "-cube", "1", tc.flag, tc.val)

@@ -1,11 +1,13 @@
 // Package engine is the distributed solver runtime extracted from the
 // hypercube Jacobi driver: the reusable parallel skeleton — slab
-// partitioning, per-rank code generation, and a phase-structured sweep
-// loop (dispatch → combine → exchange) with fault injection, bounded
-// retry, checkpoint hooks and rank-ordered stat merges — separated
-// from any particular numerical scheme, so that Jacobi, multigrid and
-// future workloads (SOR, red-black, new stencils) are small clients of
-// one substrate instead of copies of a 400-line loop.
+// partitioning and the slab ↔ global layout, per-rank code generation,
+// and the phases of a sweep (dispatch, residual combine, halo exchange)
+// with fault injection, bounded retry and rank-ordered stat merges —
+// separated from any particular numerical scheme. Solvers (the
+// hypercube Jacobi solve, the distributed multigrid) write their own
+// loops over one Loop's phase calls; checkpoints, rollback and ring
+// repair belong to the solver, and Repartition carries the loop across
+// a repair.
 //
 // The engine addresses ranks on a ring; the Fabric interface maps ring
 // ranks onto real machine topology (the hypercube adapter routes them
@@ -28,10 +30,9 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/arch"
+	"repro/internal/jacobi"
 	"repro/internal/microcode"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -77,8 +78,7 @@ type Fabric interface {
 	AddCommCycles(cycles int64)
 }
 
-// Config parameterizes a Loop (and Run, the Jacobi-shaped driver on
-// top of it).
+// Config parameterizes a Loop.
 type Config struct {
 	Fabric  Fabric
 	Part    *Partition
@@ -88,9 +88,6 @@ type Config struct {
 	// bounds the recovery (zero fields take DefaultRetryPolicy).
 	Faults *FaultPlan
 	Retry  RetryPolicy
-
-	// ResidualFU is the reduce register the convergence combine reads.
-	ResidualFU arch.FUID
 
 	// Observe, when non-nil, receives one sample per completed phase
 	// with the simulated cycles it added to the critical path. Called
@@ -105,62 +102,17 @@ type Config struct {
 	// cycles after a barrier, so metrics, spans and results are
 	// bit-identical at every worker count.
 	Obs *obs.Obs
-
-	// The fields below drive Run; Loop-level clients ignore them.
-
-	// Instr selects the instruction rank r executes on a sweep;
-	// PlaneOf names the memory plane that sweep writes (the halo
-	// exchange plane).
-	Instr   func(sweep, rank int) *microcode.Instr
-	PlaneOf func(sweep int) int
-
-	// MaxSweeps bounds the loop; StopAfter, when positive, runs exactly
-	// that many sweeps regardless of the residual; Tol is the
-	// convergence threshold.
-	MaxSweeps int
-	StopAfter int
-	Tol       float64
-
-	// CheckpointEvery, when positive, invokes Take at every sweep
-	// boundary divisible by it. StartSweep/StartSeries/SkipSnapshotAt
-	// seed a run resumed from a checkpoint (SkipSnapshotAt must be -1
-	// when not resuming — the resumed boundary holds no new progress).
-	CheckpointEvery int
-	StartSweep      int
-	StartSeries     []float64
-	SkipSnapshotAt  int
-
-	// Take snapshots the client's state at a sweep boundary; live is
-	// the loop's fault counters so far (the client adds its own base).
-	// Rollback restores the latest snapshot after a retry budget
-	// exhausts and returns the sweep to resume from; ok=false means no
-	// snapshot exists and the budget error surfaces instead.
-	Take     func(sweep int, series []float64, live FaultStats) error
-	Rollback func() (sweep int, series []float64, ok bool, err error)
-
-	// BuddyEvery, when positive, invokes Buddy at every sweep boundary
-	// divisible by it — the client's in-memory buddy-checkpoint mirror.
-	// Mirrors are host-side and free in simulated time, exactly like
-	// Take snapshots, so arming them never moves the clocks.
-	BuddyEvery int
-	Buddy      func(sweep int, series []float64) error
-
-	// Recover, when non-nil, handles permanent node loss: Run hands it
-	// the DeadRankError from a dispatch barrier and resumes the loop on
-	// the configuration it returns (a spare wired into the dead slot, or
-	// a shrunken re-partition over the survivors, with the client's
-	// state restored from buddy mirrors or a checkpoint). Nil keeps the
-	// pre-recovery behaviour: a dead rank surfaces as an error.
-	Recover func(*DeadRankError) (*Config, *RecoveryInfo, error)
 }
 
 // Loop is the phase-structured sweep loop: Dispatch runs one
 // instruction on every rank, CombineResidual reduces the convergence
 // signal, Exchange swaps ghost faces between ring neighbours. All
-// fault/retry/stat accounting lives here; clients sequence the phases
-// (or use Run for the standard sweep-combine-exchange shape).
+// fault/retry/stat accounting lives here; clients sequence the phases.
+// One Loop serves a whole solve: after a ring repair, Repartition
+// re-sizes it for the new partition and keeps the fault counters and
+// the trace timeline running.
 type Loop struct {
-	cfg   *Config
+	cfg   Config
 	retry RetryPolicy
 
 	fst   FaultStats // live counters
@@ -198,33 +150,56 @@ func NewLoop(cfg *Config) (*Loop, error) {
 	if cfg.Fabric == nil || cfg.Part == nil {
 		return nil, fmt.Errorf("engine: loop needs a fabric and a partition")
 	}
-	p := cfg.Fabric.P()
-	if cfg.Part.P != p {
-		return nil, fmt.Errorf("engine: partition over %d ranks on a %d-rank fabric", cfg.Part.P, p)
-	}
-	lp := &Loop{
-		cfg:      cfg,
-		retry:    cfg.Retry.withDefaults(),
-		sweep:    make([]int64, p),
-		idle:     make([]bool, p),
-		cost:     make([]int64, p),
-		link:     make([]link, p),
-		gathered: -1,
-	}
-	if o := cfg.Obs; o != nil {
-		o.Inc("engine.topology." + cfg.Fabric.Topology())
-	}
-	if p > 1 {
-		lp.halo = make([][]float64, 2*p)
-		for i := range lp.halo {
-			lp.halo[i] = make([]float64, cfg.Part.NN())
-		}
+	lp := &Loop{cfg: *cfg, retry: cfg.Retry.WithDefaults()}
+	if err := lp.Repartition(cfg.Part); err != nil {
+		return nil, err
 	}
 	return lp, nil
 }
 
+// Repartition points the loop at a new partition of its fabric — the
+// same one after a hot spare filled a dead slot, a smaller one after a
+// shrink — and re-sizes the per-rank state and halo buffers for it.
+// The fault counters and the trace timeline carry on, so a recovered
+// solve reports one continuous run. Each call starts a new loop
+// generation, counted per fabric.
+func (lp *Loop) Repartition(part *Partition) error {
+	p := lp.cfg.Fabric.P()
+	if part.P != p {
+		return fmt.Errorf("engine: partition over %d ranks on a %d-rank fabric", part.P, p)
+	}
+	lp.cfg.Part = part
+	lp.sweep = make([]int64, p)
+	lp.idle = make([]bool, p)
+	lp.cost = make([]int64, p)
+	lp.link = make([]link, p)
+	lp.halo, lp.gathered = nil, -1
+	if p > 1 {
+		lp.halo = make([][]float64, 2*p)
+		for i := range lp.halo {
+			lp.halo[i] = make([]float64, part.NN())
+		}
+	}
+	if o := lp.cfg.Obs; o != nil {
+		o.Inc("engine.topology." + lp.cfg.Fabric.Topology())
+	}
+	return nil
+}
+
 // Stats returns the loop's live fault counters.
 func (lp *Loop) Stats() FaultStats { return lp.fst }
+
+// HostPhase marks a host-side phase at a sweep boundary — a checkpoint
+// or a buddy mirror — on the loop's timeline. Such phases are free in
+// simulated time, so the sample carries zero cycles.
+func (lp *Loop) HostPhase(phase string, sweep int) { lp.observe(phase, sweep, 0) }
+
+// Event records an instantaneous engine event on tracer shard 0 at the
+// loop's current point on the simulated timeline. Nil Obs costs
+// nothing.
+func (lp *Loop) Event(name, cause string, args map[string]int64) {
+	lp.cfg.Obs.Event(0, "engine", name, lp.simTS, cause, args)
+}
 
 // observe reports a completed phase to the configured observer and the
 // unified observability layer. Called host-side after the phase's
@@ -302,7 +277,7 @@ func (lp *Loop) resolveDispatch(sweepNo int) (be *BudgetError, dead []int) {
 // barrier. Pass -1 for dispatches with no exchange to feed (residual,
 // correction, copies).
 func (lp *Loop) Dispatch(sweepNo int, instr func(rank int) *microcode.Instr, gatherPlane int) (*BudgetError, error) {
-	cfg := lp.cfg
+	cfg := &lp.cfg
 	f := cfg.Fabric
 	p := f.P()
 	be, dead := lp.resolveDispatch(sweepNo)
@@ -357,14 +332,14 @@ func (lp *Loop) Dispatch(sweepNo int, instr func(rank int) *microcode.Instr, gat
 func (lp *Loop) gather(r, plane int) error {
 	pt := lp.cfg.Part
 	nd := lp.cfg.Fabric.Node(r)
-	nn := pt.NN()
 	if r+1 < pt.P { // down face: last owned plane
-		if err := nd.ReadWordsInto(plane, int64(pt.Planes[r]*nn), lp.halo[2*r]); err != nil {
+		last, _ := pt.faces(r)
+		if err := nd.ReadWordsInto(plane, last, lp.halo[2*r]); err != nil {
 			return err
 		}
 	}
 	if r > 0 { // up face: first owned plane
-		if err := nd.ReadWordsInto(plane, int64(nn), lp.halo[2*r+1]); err != nil {
+		if err := nd.ReadWordsInto(plane, int64(pt.NN()), lp.halo[2*r+1]); err != nil {
 			return err
 		}
 	}
@@ -382,12 +357,12 @@ func (lp *Loop) gather(r, plane int) error {
 // the combine's retry budget exhausted and the sweep must roll back or
 // surface.
 func (lp *Loop) CombineResidual(sweepNo int) (float64, *BudgetError) {
-	cfg := lp.cfg
+	cfg := &lp.cfg
 	f := cfg.Fabric
 	p := f.P()
 	worst := 0.0
 	for r := 0; r < p; r++ {
-		if v := f.Node(r).RedReg[cfg.ResidualFU]; v > worst {
+		if v := f.Node(r).RedReg[jacobi.ResidualFU]; v > worst {
 			worst = v
 		}
 	}
@@ -503,7 +478,7 @@ func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 	if plane != lp.gathered {
 		return nil, fmt.Errorf("engine: sweep %d: exchange of plane %d, but the preceding dispatch gathered no faces from it", sweepNo, plane)
 	}
-	cfg := lp.cfg
+	cfg := &lp.cfg
 	f := cfg.Fabric
 	pt := cfg.Part
 	p := f.P()
@@ -526,7 +501,8 @@ func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 			}
 		}
 		if r+1 < p && lp.link[r] != linkLost { // high ghost: right neighbour's up face
-			if err := nd.WriteWords(plane, int64((pt.Planes[r]+1)*nn), lp.halo[2*(r+1)+1]); err != nil {
+			_, high := pt.faces(r)
+			if err := nd.WriteWords(plane, high, lp.halo[2*(r+1)+1]); err != nil {
 				return err
 			}
 		}
@@ -544,224 +520,4 @@ func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 	f.AddMachineCycles(added)
 	lp.observe("exchange", sweepNo, added)
 	return be, nil
-}
-
-// RunResult reports a Run.
-type RunResult struct {
-	Sweeps    int
-	Converged bool
-	Residual  float64
-	Series    []float64
-	// Faults holds the run's live counters (a restored base, if any, is
-	// the client's to add).
-	Faults FaultStats
-	// Recovery counts degraded-mode recoveries (permanent node loss
-	// survived via spares or shrinking re-partition); all-zero unless a
-	// kill-forever fault fired and a Recover hook handled it.
-	Recovery RecoveryStats
-}
-
-// Run drives the standard sweep → combine → exchange loop to
-// convergence: the exact phase order, accounting and rollback
-// semantics of the original hypercube Jacobi driver, now scheme- and
-// machine-agnostic. A retry budget that exhausts rolls the run back
-// through cfg.Rollback (when a snapshot exists and MaxRestores
-// allows); simulated time is not rolled back — the lost work cost real
-// cycles.
-//
-// Permanent node loss (FaultKillForever) surfaces as a DeadRankError
-// unless cfg.Recover is set, in which case Run re-enters the loop on
-// the recovered configuration — same observability timeline, fault
-// counters accumulated across generations — and resumes from the sweep
-// boundary the hook restored. Each recovery round consumes at least
-// one fired plan event, so the rounds are bounded by the plan length.
-func Run(cfg *Config) (*RunResult, error) {
-	var acc FaultStats
-	var rec RecoveryStats
-	var ts int64
-	maxRecoveries := 0
-	if cfg.Faults != nil {
-		maxRecoveries = len(cfg.Faults.Events)
-	}
-	for {
-		res, tsEnd, err := runOnce(cfg, ts, acc)
-		if res != nil {
-			merged := acc
-			merged.Add(res.Faults)
-			res.Faults = merged
-			res.Recovery = rec
-		}
-		var dre *DeadRankError
-		if err == nil || cfg.Recover == nil || !errors.As(err, &dre) {
-			return res, err
-		}
-		if int(rec.Recoveries) >= maxRecoveries {
-			// Backstop: a Recover hook that makes no progress cannot spin
-			// the loop past one round per plan event.
-			return res, err
-		}
-		acc = res.Faults
-		ts = tsEnd
-		next, info, rerr := cfg.Recover(dre)
-		if rerr != nil {
-			return nil, fmt.Errorf("engine: recovering from %v: %w", dre, rerr)
-		}
-		rec.Recoveries++
-		rec.DeadRanks += int64(len(dre.Ranks))
-		rec.SpareActivations += int64(info.Spared)
-		rec.Shrinks += int64(info.Shrunk)
-		switch info.Source {
-		case "buddy":
-			rec.BuddyRestores++
-		case "checkpoint":
-			rec.CheckpointRestores++
-		}
-		resweep := int64(dre.Sweep - info.ResumeSweep)
-		if resweep > 0 {
-			rec.ResweptSweeps += resweep
-		}
-		if o := cfg.Obs; o != nil {
-			o.Inc("engine.recovery.recoveries")
-			if info.Spared > 0 {
-				o.Add("engine.recovery.spare", int64(info.Spared))
-			}
-			if info.Shrunk > 0 {
-				o.Add("engine.recovery.shrink", int64(info.Shrunk))
-			}
-			o.Inc("engine.recovery.source." + info.Source)
-			o.Observe("engine.recovery.resweeps", resweep)
-			o.Event(0, "engine", "recovery", ts, info.Mode, map[string]int64{
-				"resume_sweep": int64(info.ResumeSweep),
-				"spared":       int64(info.Spared),
-				"shrunk":       int64(info.Shrunk),
-			})
-		}
-		cfg = next
-	}
-}
-
-// runOnce drives one loop generation: from cfg.StartSweep until
-// convergence, a terminal error, or a dead rank. ts0 seeds the
-// observability timeline (continuous across recovery generations);
-// base is the fault-counter accumulation of prior generations, merged
-// into the live counters handed to Take so persisted checkpoints carry
-// full totals.
-func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, error) {
-	lp, err := NewLoop(cfg)
-	if err != nil {
-		return nil, ts0, err
-	}
-	lp.simTS = ts0
-	res := &RunResult{
-		Sweeps: cfg.StartSweep,
-		Series: append([]float64(nil), cfg.StartSeries...),
-	}
-	skipAt := cfg.SkipSnapshotAt
-	restores := 0
-	rollback := func(be *BudgetError) (int, error) {
-		if cfg.Rollback == nil || restores >= lp.retry.MaxRestores {
-			return 0, be
-		}
-		at, series, ok, err := cfg.Rollback()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return 0, be
-		}
-		restores++
-		lp.fst.Restores++
-		res.Sweeps = at
-		res.Series = append(res.Series[:0], series...)
-		skipAt = at
-		return at, nil
-	}
-
-	// One instruction-lookup closure for the whole run: allocating it
-	// per sweep shows up once the dispatch itself stops allocating
-	// (plan cache + specialized kernels make the steady state
-	// alloc-free).
-	sweep := cfg.StartSweep
-	instrAt := func(r int) *microcode.Instr { return cfg.Instr(sweep, r) }
-
-	for it := cfg.StartSweep; it < cfg.MaxSweeps; it++ {
-		// Sweep-boundary snapshot.
-		if cfg.CheckpointEvery > 0 && cfg.Take != nil && it%cfg.CheckpointEvery == 0 && it != skipAt {
-			lp.fst.Checkpoints++
-			live := base
-			live.Add(lp.fst)
-			if err := cfg.Take(it, res.Series, live); err != nil {
-				return nil, lp.simTS, err
-			}
-			// Snapshots are host-side and free in simulated time; the
-			// zero-cycle phase still marks the boundary on the timeline.
-			lp.observe("checkpoint", it, 0)
-		}
-		// Buddy mirror: host-side like Take, so it is free in simulated
-		// time; the zero-cycle phase marks the boundary on the timeline.
-		if cfg.BuddyEvery > 0 && cfg.Buddy != nil && it%cfg.BuddyEvery == 0 {
-			if err := cfg.Buddy(it, res.Series); err != nil {
-				return nil, lp.simTS, err
-			}
-			lp.observe("buddy", it, 0)
-		}
-
-		sweep = it
-		be, err := lp.Dispatch(it, instrAt, cfg.PlaneOf(it))
-		if err != nil {
-			var dre *DeadRankError
-			if errors.As(err, &dre) {
-				// Partial result for the recovery protocol: counters so
-				// far, timeline so far.
-				res.Faults = lp.fst
-				return res, lp.simTS, err
-			}
-			return nil, lp.simTS, err
-		}
-		if be != nil {
-			at, err := rollback(be)
-			if err != nil {
-				return nil, lp.simTS, err
-			}
-			it = at - 1
-			continue
-		}
-		res.Sweeps++
-
-		worst, mergeBE := lp.CombineResidual(it)
-		if mergeBE != nil {
-			at, err := rollback(mergeBE)
-			if err != nil {
-				return nil, lp.simTS, err
-			}
-			it = at - 1
-			continue
-		}
-		res.Residual = worst
-		res.Series = append(res.Series, worst)
-		if cfg.StopAfter > 0 {
-			if res.Sweeps >= cfg.StopAfter {
-				res.Converged = worst < cfg.Tol
-				break
-			}
-		} else if worst < cfg.Tol {
-			res.Converged = true
-			break
-		}
-
-		ebe, err := lp.Exchange(it, cfg.PlaneOf(it))
-		if err != nil {
-			return nil, lp.simTS, err
-		}
-		if ebe != nil {
-			at, err := rollback(ebe)
-			if err != nil {
-				return nil, lp.simTS, err
-			}
-			it = at - 1
-			continue
-		}
-	}
-	res.Faults = lp.fst
-	return res, lp.simTS, nil
 }

@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/diag"
+	"repro/internal/jacobi"
 	"repro/internal/microcode"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -273,5 +275,222 @@ func TestCheckFaultPoints(t *testing.T) {
 		if !strings.Contains(err.Error(), bad.Events[0].String()) {
 			t.Errorf("error %q does not name the event", err)
 		}
+	}
+}
+
+// TestDispatchFaultSemantics pins the dispatch and combine barriers'
+// fault handling on the same three-rank ring: faults are drawn on the
+// host in rank order before each barrier, a rank that dies or runs out
+// of retry budget does not execute, the lowest rank's budget error
+// surfaces, dead ranks are reported ascending, and the combine charges
+// every wasted round it re-sends.
+func TestDispatchFaultSemantics(t *testing.T) {
+	const p, n, nz = 3, 4, 5
+	ev := func(ph Phase, rank int, kind FaultKind, repeat int) FaultEvent {
+		e := FaultEvent{Sweep: 0, Phase: ph, Rank: rank, Kind: kind, Repeat: repeat}
+		if kind == FaultStall {
+			e.Stall = 500
+		}
+		return e
+	}
+	loop := func(t *testing.T, plan *FaultPlan) (*ringFabric, *Loop) {
+		t.Helper()
+		f := newRingFabric(t, p)
+		part, err := NewPartition(p, n, nz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp, err := NewLoop(&Config{Fabric: f, Part: part, Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, lp
+	}
+	// One halt costs the same on every node; measure it once.
+	probe := newRingFabric(t, 1).nodes[0]
+	if err := probe.Exec(haltInstr(probe)); err != nil {
+		t.Fatal(err)
+	}
+	halt := probe.Stats.Cycles
+
+	t.Run("dispatch", func(t *testing.T) {
+		cases := []struct {
+			name   string
+			events []FaultEvent
+			stats  FaultStats
+			extra  [p]int64 // per-rank stall and backoff cycles
+			ran    [p]bool  // which ranks executed
+			budget int      // rank of the surfaced budget error, or -1
+			dead   []int
+		}{
+			{name: "stall", events: []FaultEvent{ev(PhaseDispatch, 1, FaultStall, 1)},
+				stats: FaultStats{Injected: 1, Stalls: 1, StallCycles: 500},
+				extra: [p]int64{0, 500, 0}, ran: [p]bool{true, true, true}, budget: -1},
+			{name: "kill-retry", events: []FaultEvent{ev(PhaseDispatch, 1, FaultKill, 1)},
+				stats: FaultStats{Injected: 1, Kills: 1, Retries: 1, BackoffCycles: 64},
+				extra: [p]int64{0, 64, 0}, ran: [p]bool{true, true, true}, budget: -1},
+			{name: "kill-exhausted", events: []FaultEvent{ev(PhaseDispatch, 2, FaultKill, 3), ev(PhaseDispatch, 1, FaultKill, 3)},
+				stats: FaultStats{Injected: 6, Kills: 6, Retries: 4, BackoffCycles: 384, Exhausted: 2},
+				extra: [p]int64{0, 192, 192}, ran: [p]bool{true, false, false}, budget: 1},
+			{name: "kill-forever", events: []FaultEvent{ev(PhaseDispatch, 2, FaultKillForever, 1), ev(PhaseDispatch, 0, FaultKillForever, 1)},
+				stats: FaultStats{Injected: 2, Kills: 2},
+				ran:   [p]bool{false, true, false}, budget: -1, dead: []int{0, 2}},
+		}
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				f, lp := loop(t, MustFaultPlan(tc.events...))
+				be, err := lp.Dispatch(0, func(r int) *microcode.Instr { return haltInstr(f.nodes[r]) }, 1)
+				var dre *DeadRankError
+				if tc.dead != nil {
+					if !errors.As(err, &dre) || !slices.Equal(dre.Ranks, tc.dead) || dre.Sweep != 0 {
+						t.Fatalf("err = %v, want ranks %v dead", err, tc.dead)
+					}
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case tc.budget < 0 && be != nil:
+					t.Fatalf("unexpected budget error %v", be)
+				case tc.budget >= 0 && (be == nil || be.Phase != PhaseDispatch || be.Rank != tc.budget || be.Attempts != 3):
+					t.Fatalf("budget error %+v, want rank %d after 3 attempts", be, tc.budget)
+				}
+				if got := lp.Stats(); got != tc.stats {
+					t.Errorf("stats %+v, want %+v", got, tc.stats)
+				}
+				var worst int64
+				for r := 0; r < p; r++ {
+					cyc := tc.extra[r]
+					if tc.ran[r] {
+						cyc += halt
+					}
+					worst = max(worst, cyc)
+					if ran := f.nodes[r].Stats.Cycles > 0; ran != tc.ran[r] {
+						t.Errorf("rank %d executed = %v, want %v", r, ran, tc.ran[r])
+					}
+				}
+				if f.machine != worst || f.comm != 0 {
+					t.Errorf("machine/comm cycles %d/%d, want %d/0", f.machine, f.comm, worst)
+				}
+				// Only a clean barrier leaves faces for the exchange.
+				_, xerr := lp.Exchange(0, 1)
+				if clean := tc.budget < 0 && tc.dead == nil; (xerr == nil) != clean {
+					t.Errorf("exchange after the dispatch: %v, want success %v", xerr, clean)
+				}
+			})
+		}
+	})
+
+	t.Run("combine", func(t *testing.T) {
+		step := int64(8 + 10) // one word over one hop
+		cases := []struct {
+			name   string
+			events []FaultEvent
+			stats  FaultStats
+			cost   int64
+			budget int // round of the surfaced budget error, or -1
+		}{
+			{name: "clean", cost: 2 * step, budget: -1},
+			{name: "stall", events: []FaultEvent{ev(PhaseMerge, 0, FaultStall, 1)},
+				stats: FaultStats{Injected: 1, Stalls: 1, StallCycles: 500}, cost: 500 + 2*step, budget: -1},
+			{name: "kill-retry", events: []FaultEvent{ev(PhaseMerge, 1, FaultKill, 1)},
+				stats: FaultStats{Injected: 1, Kills: 1, Retries: 1, BackoffCycles: 64}, cost: 3*step + 64, budget: -1},
+			{name: "corrupt-retry", events: []FaultEvent{ev(PhaseMerge, 0, FaultCorrupt, 1)},
+				stats: FaultStats{Injected: 1, Corruptions: 1, Retries: 1, BackoffCycles: 64}, cost: 3*step + 64, budget: -1},
+			// Round 0 exhausts: round 1 never runs, the two re-sends are charged.
+			{name: "kill-exhausted", events: []FaultEvent{ev(PhaseMerge, 0, FaultKill, 3), ev(PhaseMerge, 1, FaultStall, 1)},
+				stats: FaultStats{Injected: 3, Kills: 3, Retries: 2, BackoffCycles: 192, Exhausted: 1}, cost: 2*step + 192, budget: 0},
+		}
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				f, lp := loop(t, MustFaultPlan(tc.events...))
+				for r, v := range []float64{0.25, 3, 1.5} {
+					f.nodes[r].RedReg[jacobi.ResidualFU] = v
+				}
+				worst, be := lp.CombineResidual(0)
+				if worst != 3 {
+					t.Errorf("combined residual %g, want 3", worst)
+				}
+				switch {
+				case tc.budget < 0 && be != nil:
+					t.Fatalf("unexpected budget error %v", be)
+				case tc.budget >= 0 && (be == nil || be.Phase != PhaseMerge || be.Rank != tc.budget || be.Attempts != 3):
+					t.Fatalf("budget error %+v, want round %d after 3 attempts", be, tc.budget)
+				}
+				if got := lp.Stats(); got != tc.stats {
+					t.Errorf("stats %+v, want %+v", got, tc.stats)
+				}
+				if f.comm != tc.cost || f.machine != tc.cost {
+					t.Errorf("comm/machine cycles %d/%d, want %d", f.comm, f.machine, tc.cost)
+				}
+			})
+		}
+	})
+}
+
+// TestRepartitionKeepsLoopState: after a shrink leaves the fabric one
+// rank short, Repartition re-sizes the loop for the new partition and
+// keeps its fault counters and its trace timeline running; each
+// generation counts once per fabric.
+func TestRepartitionKeepsLoopState(t *testing.T) {
+	f := newRingFabric(t, 3)
+	part, err := NewPartition(3, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	var phases []string
+	lp, err := NewLoop(&Config{Fabric: f, Part: part, Obs: o,
+		Faults:  MustFaultPlan(FaultEvent{Sweep: 0, Phase: PhaseDispatch, Rank: 1, Kind: FaultKillForever}),
+		Observe: func(phase string, sweep int, cycles int64) { phases = append(phases, phase) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	halt := func(r int) *microcode.Instr { return haltInstr(f.nodes[r]) }
+	lp.HostPhase("buddy", 0)
+	var dre *DeadRankError
+	if _, err := lp.Dispatch(0, halt, 1); !errors.As(err, &dre) {
+		t.Fatalf("dispatch: %v, want a dead rank", err)
+	}
+	f.nodes = slices.Delete(f.nodes, 1, 2)
+	if err := lp.Repartition(part); err == nil {
+		t.Error("a 3-rank partition accepted on a 2-rank fabric")
+	}
+	shrunk, err := NewPartition(2, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lp.Repartition(shrunk); err != nil {
+		t.Fatal(err)
+	}
+	lp.Event("recovery", "shrink", nil)
+	if _, err := lp.Dispatch(0, halt, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lp.Exchange(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := lp.Stats(); st.Kills != 1 || st.Injected != 1 {
+		t.Errorf("stats %+v: the kill before the repartition was lost", st)
+	}
+	if got := o.Reg.Totals()["counter/engine.topology.ring"]; got != 2 {
+		t.Errorf("engine.topology.ring = %d, want 2 loop generations", got)
+	}
+	if want := []string{"buddy", "dispatch", "dispatch", "exchange"}; !slices.Equal(phases, want) {
+		t.Errorf("phases %v, want %v", phases, want)
+	}
+	var names []string
+	last := int64(0)
+	for _, sp := range o.Tr.Spans() {
+		if sp.TS < last {
+			t.Errorf("%s at ts %d follows ts %d", sp.Name, sp.TS, last)
+		}
+		last = sp.TS
+		names = append(names, sp.Name)
+	}
+	if want := []string{"buddy", "dispatch", "dead-rank", "recovery", "dispatch", "exchange"}; !slices.Equal(names, want) {
+		t.Errorf("spans %v, want %v", names, want)
+	}
+	if last == 0 {
+		t.Error("timeline never advanced")
 	}
 }

@@ -487,7 +487,8 @@ type RetryPolicy struct {
 	// MaxBackoffCycles caps the doubling. 0 means default.
 	MaxBackoffCycles int64
 	// MaxRestores bounds checkpoint restores per solve, so a permanent
-	// fault cannot restore forever. 0 means default.
+	// fault cannot restore forever; the count starts over after a ring
+	// repair. 0 means default.
 	MaxRestores int
 }
 
@@ -500,8 +501,8 @@ var DefaultRetryPolicy = RetryPolicy{
 	MaxRestores:      4,
 }
 
-// withDefaults fills zero fields from DefaultRetryPolicy.
-func (rp RetryPolicy) withDefaults() RetryPolicy {
+// WithDefaults fills zero fields from DefaultRetryPolicy.
+func (rp RetryPolicy) WithDefaults() RetryPolicy {
 	if rp.MaxAttempts == 0 {
 		rp.MaxAttempts = DefaultRetryPolicy.MaxAttempts
 	}

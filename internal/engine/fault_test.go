@@ -106,7 +106,7 @@ func TestParseFaultPlan(t *testing.T) {
 }
 
 func TestRetryPolicyBackoff(t *testing.T) {
-	rp := RetryPolicy{}.withDefaults()
+	rp := RetryPolicy{}.WithDefaults()
 	if rp != DefaultRetryPolicy {
 		t.Fatalf("defaults = %+v", rp)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/jacobi"
@@ -31,16 +32,32 @@ func NewPartition(p, n, nz int) (*Partition, error) {
 	if p < 1 || inner < p {
 		return nil, fmt.Errorf("engine: cannot partition %d interior planes across %d ranks", inner, p)
 	}
-	pt := &Partition{P: p, N: n, Nz: nz, Lo: make([]int, p), Planes: make([]int, p)}
+	planes := make([]int, p)
 	q, rem := inner/p, inner%p
-	lo := 1
-	for r := 0; r < p; r++ {
-		pt.Lo[r] = lo
-		pt.Planes[r] = q
+	for r := range planes {
+		planes[r] = q
 		if r < rem {
-			pt.Planes[r]++
+			planes[r]++
 		}
-		lo += pt.Planes[r]
+	}
+	return PartitionOf(n, nz, planes)
+}
+
+// PartitionOf builds the partition that gives ring rank r planes[r]
+// interior planes, in rank order — the shape a checkpoint records. The
+// counts must be positive and cover the Nz-2 interior planes exactly.
+func PartitionOf(n, nz int, planes []int) (*Partition, error) {
+	pt := &Partition{P: len(planes), N: n, Nz: nz, Lo: make([]int, len(planes)), Planes: append([]int(nil), planes...)}
+	lo := 1
+	for r, pl := range planes {
+		if pl < 1 {
+			return nil, fmt.Errorf("engine: rank %d owns %d planes", r, pl)
+		}
+		pt.Lo[r] = lo
+		lo += pl
+	}
+	if len(planes) == 0 || lo != nz-1 {
+		return nil, fmt.Errorf("engine: planes sum to %d interior planes, grid has %d", lo-1, nz-2)
 	}
 	return pt, nil
 }
@@ -55,6 +72,76 @@ func (pt *Partition) NN() int { return pt.N * pt.N }
 
 // LocalNz returns rank r's local grid depth, ghosts included.
 func (pt *Partition) LocalNz(r int) int { return pt.Planes[r] + 2 }
+
+// SlabWords returns the words in rank r's local grid, ghosts included.
+func (pt *Partition) SlabWords(r int) int { return pt.LocalNz(r) * pt.NN() }
+
+// OwnedWords returns the words in rank r's owned planes alone.
+func (pt *Partition) OwnedWords(r int) int { return pt.Planes[r] * pt.NN() }
+
+// faces returns the local addresses of rank r's last owned plane (the
+// face it sends down the ring) and its high ghost plane.
+func (pt *Partition) faces(r int) (last, high int64) {
+	last = int64(pt.OwnedWords(r))
+	return last, last + int64(pt.NN())
+}
+
+// Gather reads every rank's owned planes of `plane` into their place in
+// g, a global N×N×Nz array. The global boundary planes of g are left
+// as they are.
+func (pt *Partition) Gather(f Fabric, plane int, g []float64) error {
+	nn := pt.NN()
+	for r := 0; r < pt.P; r++ {
+		lo := pt.Lo[r] * nn
+		if err := f.Node(r).ReadWordsInto(plane, int64(nn), g[lo:lo+pt.OwnedWords(r)]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Scatter writes every rank's whole slab of `plane` — owned planes and
+// both ghosts — from g, a global N×N×Nz array.
+func (pt *Partition) Scatter(f Fabric, plane int, g []float64) error {
+	nn := pt.NN()
+	for r := 0; r < pt.P; r++ {
+		lo := (pt.Lo[r] - 1) * nn
+		if err := f.Node(r).WriteWords(plane, 0, g[lo:lo+pt.SlabWords(r)]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RefillWords returns the words a host-side restore sends each rank
+// after a ring repair, for `planes` memory planes per slab: every
+// rank's slab after a shrink, when every slab boundary may have moved,
+// and only the refilled dead slots otherwise — a survivor restoring
+// its own memory is free.
+func (pt *Partition) RefillWords(dead []int, shrunk bool, planes int) []int64 {
+	words := make([]int64, pt.P)
+	for r := range words {
+		if shrunk || slices.Contains(dead, r) {
+			words[r] = int64(planes * pt.SlabWords(r))
+		}
+	}
+	return words
+}
+
+// Assemble rebuilds a global N×N×Nz plane from per-rank local grids:
+// owned planes from each rank, the global boundary planes from the
+// edge ranks' outer ghost planes.
+func (pt *Partition) Assemble(locals [][]float64) []float64 {
+	nn := pt.NN()
+	g := make([]float64, nn*pt.Nz)
+	copy(g[:nn], locals[0][:nn])
+	last := pt.P - 1
+	copy(g[(pt.Nz-1)*nn:], locals[last][pt.SlabWords(last)-nn:])
+	for r := 0; r < pt.P; r++ {
+		copy(g[pt.Lo[r]*nn:], locals[r][nn:nn+pt.OwnedWords(r)])
+	}
+	return g
+}
 
 // Local extracts rank r's slab problem from the global one: planes
 // [Lo[r]-1, Lo[r]+Planes[r]] of F and U0, with the mask kept only on

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -63,5 +64,64 @@ func TestNewPartitionTooManyRanks(t *testing.T) {
 	_, err := NewPartition(8, 5, 5)
 	if err == nil || !strings.Contains(err.Error(), "cannot partition") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestPartitionLayout: Scatter writes each rank's slab, ghosts
+// included, from the global array; Gather reads back only the owned
+// planes; Assemble rebuilds the global array from the local grids.
+func TestPartitionLayout(t *testing.T) {
+	const n, nz = 2, 7
+	nn := n * n
+	part, err := PartitionOf(n, nz, []int{2, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(part.Lo, []int{1, 3, 4}) || part.SlabWords(1) != 3*nn || part.OwnedWords(2) != 2*nn {
+		t.Fatalf("partition %+v", part)
+	}
+	f := newRingFabric(t, 3)
+	g := make([]float64, nz*nn)
+	for i := range g {
+		g[i] = float64(i + 1)
+	}
+	if err := part.Scatter(f, 1, g); err != nil {
+		t.Fatal(err)
+	}
+	locals := make([][]float64, part.P)
+	for r := range locals {
+		if locals[r], err = f.nodes[r].ReadWords(1, 0, part.SlabWords(r)); err != nil {
+			t.Fatal(err)
+		}
+		lo := (part.Lo[r] - 1) * nn
+		if !slices.Equal(locals[r], g[lo:lo+part.SlabWords(r)]) {
+			t.Errorf("rank %d slab %v, want %v", r, locals[r], g[lo:lo+part.SlabWords(r)])
+		}
+	}
+	if got := part.Assemble(locals); !slices.Equal(got, g) {
+		t.Errorf("assembled %v, want %v", got, g)
+	}
+	back := make([]float64, nz*nn)
+	if err := part.Gather(f, 1, back); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(g)
+	clear(want[:nn])
+	clear(want[(nz-1)*nn:])
+	if !slices.Equal(back, want) {
+		t.Errorf("gathered %v, want %v (boundary planes untouched)", back, want)
+	}
+
+	if got := part.RefillWords([]int{2}, false, 2); !slices.Equal(got, []int64{0, 0, 2 * 4 * int64(nn)}) {
+		t.Errorf("spare refill words %v", got)
+	}
+	if got := part.RefillWords([]int{2}, true, 1); !slices.Equal(got, []int64{4 * int64(nn), 3 * int64(nn), 4 * int64(nn)}) {
+		t.Errorf("shrink refill words %v", got)
+	}
+
+	for _, bad := range [][]int{{2, 0, 3}, {2, 2, 2}, nil} {
+		if _, err := PartitionOf(n, nz, bad); err == nil {
+			t.Errorf("planes %v accepted for %d interior planes", bad, nz-2)
+		}
 	}
 }

@@ -8,14 +8,14 @@ import (
 // Degraded-mode recovery: the engine half of surviving permanent node
 // loss. A FaultKillForever event marks a rank dead at the dispatch
 // barrier; Dispatch reports the dead set through a DeadRankError
-// instead of retrying (no retry can resurrect a dead board). When the
-// client supplies a Recover hook, Run hands it the error and resumes
-// the loop on the configuration the hook returns — same fabric with a
-// hot spare wired into the dead slot, or a smaller fabric with the
-// surviving ranks re-partitioned. The hook restores the iterate from
-// the client's buddy mirrors (or its checkpoint fallback), so the
-// resumed trajectory is bit-identical to a fault-free run: recovery is
-// mathematically invisible, only the clocks grow.
+// instead of retrying (no retry can resurrect a dead board). The
+// client repairs the ring — a hot spare wired into the dead slot, or a
+// smaller fabric with the surviving ranks re-partitioned — restores its
+// state from its buddy mirror (or a checkpoint), prices the state
+// scatter with ChargeScatter and points the same Loop at the repaired
+// fabric with Repartition. The resumed trajectory is bit-identical to a
+// fault-free run: recovery is mathematically invisible, only the
+// clocks grow.
 
 // DeadRankError reports permanently dead ranks detected at a dispatch
 // barrier. Ranks are ring ranks of the partition in force when the
@@ -31,19 +31,6 @@ func (e *DeadRankError) Error() string {
 		rs[i] = fmt.Sprintf("%d", r)
 	}
 	return fmt.Sprintf("engine: sweep %d: rank(s) %s permanently dead", e.Sweep, strings.Join(rs, ","))
-}
-
-// RecoveryInfo is the Recover hook's report of what it did, used for
-// stats and observability. Mode is how the dead slots were filled
-// ("spare", "shrink", or "spare+shrink" when spares ran out mid-event);
-// Source is where the restored state came from ("buddy" or
-// "checkpoint").
-type RecoveryInfo struct {
-	Mode        string
-	Source      string
-	ResumeSweep int
-	Spared      int
-	Shrunk      int
 }
 
 // RecoveryStats counts degraded-mode recoveries. It is deliberately a

@@ -145,17 +145,7 @@ func (ck *Checkpoint) partition() (*engine.Partition, error) {
 	if ck.Planes == nil {
 		return engine.NewPartition(ck.P, ck.N, ck.Nz)
 	}
-	pt := &engine.Partition{P: ck.P, N: ck.N, Nz: ck.Nz,
-		Lo: make([]int, ck.P), Planes: append([]int(nil), ck.Planes...)}
-	lo := 1
-	for r := 0; r < ck.P; r++ {
-		pt.Lo[r] = lo
-		lo += ck.Planes[r]
-	}
-	if lo != ck.Nz-1 {
-		return nil, fmt.Errorf("hypercube: checkpoint planes sum to %d interior planes, header declares %d", lo-1, ck.Nz-2)
-	}
-	return pt, nil
+	return engine.PartitionOf(ck.N, ck.Nz, ck.Planes)
 }
 
 // checkpointHeader is the fixed-size first section: every scalar the

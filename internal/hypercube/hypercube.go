@@ -11,11 +11,11 @@
 // the scaling experiment (P2): 1-D domain decomposition along k with
 // ghost-plane exchange between ring neighbours (one hop on every
 // pristine embedding) and a residual combine over the topology's tree.
-// Since PR 4 the sweep loop itself — partitioning, per-rank codegen,
-// halo exchange, convergence reduction, fault injection, retry and
-// checkpoint rollback — lives in internal/engine; SolveJacobi is a
-// thin client that adapts the machine to the engine's Fabric interface
-// and supplies the scheme (instructions, planes, checkpoint hooks).
+// Partitioning, per-rank codegen and the sweep phases — dispatch, halo
+// exchange, convergence reduction, fault injection and retry — live in
+// internal/engine; SolveJacobi adapts the machine to the engine's
+// Fabric interface and runs its own sweep loop over the phases, with
+// checkpoints, rollback and degraded-mode recovery (solve.go).
 package hypercube
 
 import (
@@ -383,9 +383,8 @@ type JacobiResult struct {
 // interior planes must divide evenly by the node count. Each node
 // programs its slab through the same visual-environment pipelines as
 // the single-node solver (ghost planes enter as masked-off boundary);
-// the engine then drives the sweep → combine → exchange loop, with
-// this client supplying the per-sweep instructions and the
-// checkpoint/rollback hooks.
+// the solve then runs the sweep → combine → exchange loop over the
+// engine's phases (see jacobiSolve.run).
 //
 // When a FaultPlan is armed, faulted operations retry under the
 // machine's RetryPolicy; a retry budget that exhausts rolls the solve
@@ -418,8 +417,8 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 	if inner <= 0 || inner%p != 0 {
 		return nil, fmt.Errorf("hypercube: %d interior planes do not divide across %d nodes", inner, p)
 	}
-	n, nn := global.N, global.N*global.N
-	part, err := engine.NewPartition(p, n, global.Nz)
+	nn := global.N * global.N
+	part, err := engine.NewPartition(p, global.N, global.Nz)
 	if err != nil {
 		return nil, err
 	}
@@ -427,8 +426,6 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 	if err := s.build(part); err != nil {
 		return nil, err
 	}
-
-	var startSeries []float64
 	startIt, skipAt := 0, -1
 	if ck := m.Restore; ck != nil {
 		if err := ck.compatible(part); err != nil {
@@ -438,56 +435,51 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 			return nil, err
 		}
 		startIt, skipAt = ck.Sweep, ck.Sweep
-		startSeries = ck.Residuals
+		s.series = append(s.series, ck.Residuals...)
 		m.MachineCycles, m.CommCycles = ck.MachineCycles, ck.CommCycles
 		m.Faults.SetFired(ck.FaultFired)
 		s.base, s.pcBase, s.trapBase = ck.Faults, ck.PlanCache, ck.Traps
 		m.LastCheckpoint = ck
 	}
-
-	er, err := engine.Run(s.engineConfig(startIt, startSeries, skipAt))
+	s.lp, err = engine.NewLoop(&engine.Config{
+		Fabric: m.Fabric(), Part: part, Workers: m.Workers,
+		Faults: m.Faults, Retry: m.Retry,
+		Obs: m.Obs, Observe: m.Observe,
+	})
 	if err != nil {
 		return nil, err
 	}
-	part = s.part // recovery may have re-partitioned
-
-	// Assemble the global field from the owned planes; the global
-	// boundary planes keep their initial values.
-	res := &JacobiResult{
-		Iterations: er.Sweeps, Converged: er.Converged,
-		Residual: er.Residual, ResidualSeries: er.Series,
-		U: make([]float64, len(global.U0)),
+	res := &JacobiResult{U: make([]float64, len(global.U0))}
+	if res.Iterations, res.Residual, res.Converged, err = s.run(startIt, skipAt); err != nil {
+		return nil, err
 	}
+	res.ResidualSeries = s.series
+
+	// Assemble the global field from the owned planes (recovery may have
+	// re-partitioned); the global boundary planes keep their initial
+	// values.
 	finalPlane := jacobi.PlaneU
 	if res.Iterations%2 == 1 {
 		finalPlane = jacobi.PlaneV
 	}
 	copy(res.U[:nn], global.U0[:nn])
 	copy(res.U[(global.Nz-1)*nn:], global.U0[(global.Nz-1)*nn:])
-	for r := 0; r < part.P; r++ {
-		data, err := m.ring[r].ReadWords(finalPlane, int64(nn), part.Planes[r]*nn)
-		if err != nil {
-			return nil, err
-		}
-		copy(res.U[part.Lo[r]*nn:(part.Lo[r]+part.Planes[r])*nn], data)
+	if err := s.part.Gather(m.Fabric(), finalPlane, res.U); err != nil {
+		return nil, err
 	}
 	res.PlanCache = s.pcBase
-	for _, nd := range m.participants() {
-		res.TotalFLOPs += nd.Stats.FLOPs
-		st := nd.PlanCacheStats()
-		res.PlanCache.Hits += st.Hits
-		res.PlanCache.Misses += st.Misses
-		res.PlanCache.Entries += st.Entries
-	}
-	res.Faults = s.base
-	res.Faults.Add(er.Faults)
-	m.FaultCounters.Add(er.Faults)
-	res.Recovery = er.Recovery
-	m.RecoveryCounters.Add(er.Recovery)
 	res.Traps = s.trapBase
 	for _, nd := range m.participants() {
+		res.TotalFLOPs += nd.Stats.FLOPs
+		res.PlanCache.Add(nd.PlanCacheStats())
 		res.Traps.Add(nd.TrapCounters)
 	}
+	faults := s.faults()
+	res.Faults = s.base
+	res.Faults.Add(faults)
+	m.FaultCounters.Add(faults)
+	res.Recovery = s.rec
+	m.RecoveryCounters.Add(s.rec)
 	res.Cycles = m.MachineCycles
 	if res.Cycles > 0 {
 		res.GFLOPS = float64(res.TotalFLOPs) / (float64(res.Cycles) / m.Cfg.ClockHz) / 1e9
@@ -529,7 +521,6 @@ func (m *Machine) corruptNode(nd *sim.Node, plane int, addr int64, count int) er
 // records its per-rank plane counts and serializes as version 3.
 func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Problem,
 	series []float64, faults FaultStats, pcBase sim.PlanCacheStats, trapBase sim.TrapStats) (*Checkpoint, error) {
-	nn := global.N * global.N
 	ck := &Checkpoint{
 		Sweep: it, P: part.P, N: global.N, Nz: global.Nz,
 		Topology:      m.Topo.Name(),
@@ -546,7 +537,7 @@ func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Proble
 		ck.Planes = append([]int(nil), part.Planes...)
 	}
 	for r := 0; r < part.P; r++ {
-		words := (part.Planes[r] + 2) * nn
+		words := part.SlabWords(r)
 		u, err := m.ring[r].ReadWords(jacobi.PlaneU, 0, words)
 		if err != nil {
 			return nil, err
@@ -558,14 +549,9 @@ func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Proble
 		ck.U = append(ck.U, u)
 		ck.V = append(ck.V, v)
 	}
-	for _, nd := range m.participants() {
-		st := nd.PlanCacheStats()
-		ck.PlanCache.Hits += st.Hits
-		ck.PlanCache.Misses += st.Misses
-		ck.PlanCache.Entries += st.Entries
-	}
 	ck.Traps = trapBase
 	for _, nd := range m.participants() {
+		ck.PlanCache.Add(nd.PlanCacheStats())
 		ck.Traps.Add(nd.TrapCounters)
 	}
 	return ck, nil

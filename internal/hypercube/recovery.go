@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/arch"
 	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/jacobi"
-	"repro/internal/microcode"
 	"repro/internal/sim"
 )
 
@@ -132,11 +130,10 @@ type buddyStore struct {
 // across sweeps of one partition generation.
 func (b *buddyStore) take(m *Machine, part *engine.Partition, sweep int, series []float64) error {
 	if b.part != part {
-		nn := part.NN()
 		b.u = make([][]float64, part.P)
 		b.v = make([][]float64, part.P)
 		for r := 0; r < part.P; r++ {
-			w := (part.Planes[r] + 2) * nn
+			w := part.SlabWords(r)
 			b.u[r] = make([]float64, w)
 			b.v[r] = make([]float64, w)
 		}
@@ -176,161 +173,14 @@ func (b *buddyStore) available(part *engine.Partition, dead []int) bool {
 	return true
 }
 
-// assembleGlobal rebuilds a global N×N×Nz plane from per-rank local
-// grids: owned planes from each rank, the global boundary planes from
-// the edge ranks' outer ghost planes.
-func assembleGlobal(part *engine.Partition, locals [][]float64) []float64 {
-	nn := part.NN()
-	g := make([]float64, nn*part.Nz)
-	copy(g[:nn], locals[0][:nn])
-	last := part.P - 1
-	copy(g[(part.Nz-1)*nn:], locals[last][(part.Planes[last]+1)*nn:(part.Planes[last]+2)*nn])
-	for r := 0; r < part.P; r++ {
-		copy(g[part.Lo[r]*nn:(part.Lo[r]+part.Planes[r])*nn], locals[r][nn:(part.Planes[r]+1)*nn])
-	}
-	return g
-}
-
-// jacobiSolve is the partition-dependent state of one SolveJacobi
-// call, swappable mid-run: recovery rebuilds part/fwd/bwd over the
-// repaired ring, and every engine hook reads them through this struct
-// at call time, so a resumed generation sees the new shape.
-type jacobiSolve struct {
-	m      *Machine
-	global *jacobi.Problem
-
-	part     *engine.Partition
-	fwd, bwd []*microcode.Instr
-
-	buddy buddyStore
-
-	// Restore bases (from m.Restore), added to live engine counters.
-	base     FaultStats
-	pcBase   sim.PlanCacheStats
-	trapBase sim.TrapStats
-}
-
-// build partitions the problem, compiles both sweep pipelines per rank
-// and loads the slabs onto the ring. Loading rewrites PlaneU with the
-// initial guess, so a rebuild mid-run must be followed by an iterate
-// restore.
-func (s *jacobiSolve) build(part *engine.Partition) error {
-	m := s.m
-	locals := make([]*jacobi.Problem, part.P)
-	for r := 0; r < part.P; r++ {
-		var err error
-		if locals[r], err = part.Local(m.Cfg, s.global, r); err != nil {
-			return err
-		}
-	}
-	fab := m.Fabric()
-	fwd, bwd, err := engine.CompileSweeps(m.Cfg, m.Workers, locals, fab.Node)
-	if err != nil {
-		return err
-	}
-	s.part, s.fwd, s.bwd = part, fwd, bwd
-	return nil
-}
-
-// buddyEvery resolves the machine's BuddyEvery policy for this solve.
-func (s *jacobiSolve) buddyEvery() int {
-	m := s.m
-	switch {
-	case m.BuddyEvery > 0:
-		return m.BuddyEvery
-	case m.BuddyEvery < 0:
-		return 0
-	case m.Faults.HasPermanent():
-		return 1
-	}
-	return 0
-}
-
-// engineConfig builds the engine configuration for one loop
-// generation. All hooks read the solve state through s, so the config
-// returned after a recovery drives the rebuilt partition.
-func (s *jacobiSolve) engineConfig(startSweep int, series []float64, skipAt int) *engine.Config {
-	m := s.m
-	cfg := &engine.Config{
-		Fabric: m.Fabric(), Part: s.part, Workers: m.Workers,
-		Faults: m.Faults, Retry: m.Retry,
-		Obs: m.Obs, Observe: m.Observe,
-		ResidualFU: arch.FUID(11), // T4 slot 2 under the default triplet layout
-		Instr: func(it, r int) *microcode.Instr {
-			if it%2 == 1 {
-				return s.bwd[r]
-			}
-			return s.fwd[r]
-		},
-		PlaneOf: func(it int) int {
-			if it%2 == 1 {
-				return jacobi.PlaneU
-			}
-			return jacobi.PlaneV
-		},
-		MaxSweeps: s.global.MaxIter, StopAfter: m.StopAfter, Tol: s.global.Tol,
-		CheckpointEvery: m.CheckpointEvery,
-		StartSweep:      startSweep, StartSeries: series, SkipSnapshotAt: skipAt,
-		Take:     s.take,
-		Rollback: s.rollback,
-	}
-	if be := s.buddyEvery(); be > 0 {
-		cfg.BuddyEvery = be
-		cfg.Buddy = s.mirror
-	}
-	if m.Faults.HasPermanent() {
-		cfg.Recover = s.recover
-	}
-	return cfg
-}
-
-// take is the engine's checkpoint hook.
-func (s *jacobiSolve) take(sweep int, series []float64, live engine.FaultStats) error {
-	m := s.m
-	combined := s.base
-	combined.Add(live)
-	ck, err := m.snapshot(sweep, s.part, s.global, series, combined, s.pcBase, s.trapBase)
-	if err != nil {
-		return err
-	}
-	m.LastCheckpoint = ck
-	if m.CheckpointSink != nil {
-		if err := m.CheckpointSink(ck); err != nil {
-			return fmt.Errorf("hypercube: checkpoint sink at sweep %d: %w", sweep, err)
-		}
-	}
-	return nil
-}
-
-// rollback is the engine's retry-exhaustion hook.
-func (s *jacobiSolve) rollback() (int, []float64, bool, error) {
-	m := s.m
-	ck := m.LastCheckpoint
-	if ck == nil {
-		return 0, nil, false, nil
-	}
-	if err := ck.compatible(s.part); err != nil {
-		return 0, nil, false, err
-	}
-	if err := m.applyCheckpoint(ck); err != nil {
-		return 0, nil, false, err
-	}
-	return ck.Sweep, ck.Residuals, true, nil
-}
-
-// mirror is the engine's buddy hook.
-func (s *jacobiSolve) mirror(sweep int, series []float64) error {
-	return s.buddy.take(s.m, s.part, sweep, series)
-}
-
-// recover is the engine's permanent-loss hook: pick the state source,
-// repair the ring, rebuild the partition and code, restore the
-// iterate, price the scatter, and hand the engine the next-generation
-// configuration.
-func (s *jacobiSolve) recover(dre *engine.DeadRankError) (*engine.Config, *engine.RecoveryInfo, error) {
+// recover handles a permanent node loss: pick the state source, repair
+// the ring, rebuild the partition and code, repartition the loop,
+// restore the iterate and price the scatter. It returns the sweep
+// boundary to resume from; s.series holds that boundary's residual
+// history afterwards.
+func (s *jacobiSolve) recover(dre *engine.DeadRankError) (int, error) {
 	m := s.m
 	oldPart := s.part
-	nn := oldPart.NN()
 
 	var gu, gv []float64
 	var resume int
@@ -338,67 +188,56 @@ func (s *jacobiSolve) recover(dre *engine.DeadRankError) (*engine.Config, *engin
 	var source string
 	switch {
 	case s.buddy.available(oldPart, dre.Ranks):
-		gu = assembleGlobal(s.buddy.part, s.buddy.u)
-		gv = assembleGlobal(s.buddy.part, s.buddy.v)
+		gu = s.buddy.part.Assemble(s.buddy.u)
+		gv = s.buddy.part.Assemble(s.buddy.v)
 		resume, series, source = s.buddy.sweep, s.buddy.series, "buddy"
 	case m.LastCheckpoint != nil:
 		ck := m.LastCheckpoint
 		if ck.P != oldPart.P || ck.N != oldPart.N || ck.Nz != oldPart.Nz {
-			return nil, nil, fmt.Errorf("hypercube: checkpoint shape P=%d N=%d Nz=%d cannot restore a P=%d N=%d Nz=%d solve",
+			return 0, fmt.Errorf("hypercube: checkpoint shape P=%d N=%d Nz=%d cannot restore a P=%d N=%d Nz=%d solve",
 				ck.P, ck.N, ck.Nz, oldPart.P, oldPart.N, oldPart.Nz)
 		}
 		ckPart, err := ck.partition()
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 		if err := ck.compatible(ckPart); err != nil {
-			return nil, nil, err
+			return 0, err
 		}
-		gu = assembleGlobal(ckPart, ck.U)
-		gv = assembleGlobal(ckPart, ck.V)
+		gu = ckPart.Assemble(ck.U)
+		gv = ckPart.Assemble(ck.V)
 		resume, series, source = ck.Sweep, ck.Residuals, "checkpoint"
 	default:
-		return nil, nil, fmt.Errorf("hypercube: rank(s) %v died with no buddy mirror and no checkpoint to restore from", dre.Ranks)
+		return 0, fmt.Errorf("hypercube: rank(s) %v died with no buddy mirror and no checkpoint to restore from", dre.Ranks)
 	}
 
 	spared, shrunk, err := m.RecoverRanks(dre.Ranks)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	newPart := oldPart
 	if shrunk > 0 {
 		if newPart, err = engine.NewPartition(len(m.ring), oldPart.N, oldPart.Nz); err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 	}
 	if err := s.build(newPart); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 
 	// Restore the full local grids everywhere: CompileSweeps reloaded
 	// every slab's initial guess, so survivors rewrite their planes from
 	// their own (local, free) mirror region while dead slots — and, on a
 	// shrink, every displaced slab — receive theirs over the fabric.
-	words := make([]int64, newPart.P)
-	for r := 0; r < newPart.P; r++ {
-		lo := (newPart.Lo[r] - 1) * nn
-		w := (newPart.Planes[r] + 2) * nn
-		if err := m.ring[r].WriteWords(jacobi.PlaneU, 0, gu[lo:lo+w]); err != nil {
-			return nil, nil, err
-		}
-		if err := m.ring[r].WriteWords(jacobi.PlaneV, 0, gv[lo:lo+w]); err != nil {
-			return nil, nil, err
-		}
-		if shrunk > 0 {
-			words[r] = int64(2 * w)
-		}
+	fab := m.Fabric()
+	if err := newPart.Scatter(fab, jacobi.PlaneU, gu); err != nil {
+		return 0, err
 	}
-	if shrunk == 0 {
-		for _, d := range dre.Ranks {
-			words[d] = int64(2 * (newPart.Planes[d] + 2) * nn)
-		}
+	if err := newPart.Scatter(fab, jacobi.PlaneV, gv); err != nil {
+		return 0, err
 	}
-	engine.ChargeScatter(m.Fabric(), words)
+	engine.ChargeScatter(fab, newPart.RefillWords(dre.Ranks, shrunk > 0, 2))
+	s.series = append(s.series[:0], series...)
 
 	// A stale pre-recovery checkpoint can no longer restore the new
 	// shape, so synthesize a fresh one at the resume boundary (internal
@@ -407,7 +246,7 @@ func (s *jacobiSolve) recover(dre *engine.DeadRankError) (*engine.Config, *engin
 	if m.CheckpointEvery > 0 || m.LastCheckpoint != nil {
 		ck, err := m.snapshot(resume, newPart, s.global, series, s.base, s.pcBase, s.trapBase)
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 		m.LastCheckpoint = ck
 	}
@@ -419,6 +258,33 @@ func (s *jacobiSolve) recover(dre *engine.DeadRankError) (*engine.Config, *engin
 	case spared > 0:
 		mode = "spare"
 	}
-	info := &engine.RecoveryInfo{Mode: mode, Source: source, ResumeSweep: resume, Spared: spared, Shrunk: shrunk}
-	return s.engineConfig(resume, series, resume), info, nil
+	s.rec.Recoveries++
+	s.rec.DeadRanks += int64(len(dre.Ranks))
+	s.rec.SpareActivations += int64(spared)
+	s.rec.Shrinks += int64(shrunk)
+	switch source {
+	case "buddy":
+		s.rec.BuddyRestores++
+	case "checkpoint":
+		s.rec.CheckpointRestores++
+	}
+	resweep := int64(dre.Sweep - resume) // both boundaries precede the death
+	s.rec.ResweptSweeps += resweep
+	if o := m.Obs; o != nil {
+		o.Inc("engine.recovery.recoveries")
+		if spared > 0 {
+			o.Add("engine.recovery.spare", int64(spared))
+		}
+		if shrunk > 0 {
+			o.Add("engine.recovery.shrink", int64(shrunk))
+		}
+		o.Inc("engine.recovery.source." + source)
+		o.Observe("engine.recovery.resweeps", resweep)
+		s.lp.Event("recovery", mode, map[string]int64{
+			"resume_sweep": int64(resume),
+			"spared":       int64(spared),
+			"shrunk":       int64(shrunk),
+		})
+	}
+	return resume, s.lp.Repartition(newPart)
 }

@@ -39,6 +39,11 @@ const (
 	PlaneV    = 3
 )
 
+// ResidualFU is the reduce unit that holds a sweep's max-abs residual:
+// the script places it in T4 slot 2, the fourth triplet's third unit,
+// which is FU 11 under the default layout.
+const ResidualFU arch.FUID = 11
+
 // Problem is one 3-D Poisson instance on an N×N×Nz grid (boundary
 // included), with Dirichlet zero boundary conditions. Nz normally
 // equals N; the hypercube layer uses flat slabs (Nz = planes-per-node
@@ -374,9 +379,6 @@ func (p *Problem) Run(cfg arch.Config) (*Result, error) {
 		return nil, err
 	}
 	out.U = u
-	// The residual register lives on the reduce unit: the last triplet
-	// used (T4 slot 2). Find it from the report's FU accounting: the
-	// fourth triplet's third unit is FU 11 under the default layout.
-	out.Residual = node.RedReg[11]
+	out.Residual = node.RedReg[ResidualFU]
 	return out, nil
 }

@@ -57,7 +57,6 @@ type Distributed struct {
 	loop   *engine.Loop
 	n      int
 	u0     []float64 // global fine initial guess (boundary assembly)
-	base   engine.FaultStats
 
 	// Host-transfer scratch, allocated once and reused every cycle.
 	fineR   []float64
@@ -140,9 +139,10 @@ func NewDistributed(dc DistConfig) (*Distributed, error) {
 
 // build (re)constructs everything that depends on the current ring:
 // the partition, the per-rank slab levels and their compiled
-// pipelines, the coarse chain on rank 0's node and the engine loop.
-// Called once at construction and again after a ring repair, when the
-// rank count or the slab boundaries may have changed.
+// pipelines, the coarse chain on rank 0's node, and the engine loop —
+// created at construction, repartitioned after a ring repair (when the
+// rank count or the slab boundaries may have changed), so its fault
+// counters and trace timeline run on through the recovery.
 func (d *Distributed) build() error {
 	dc := d.dc
 	n := d.n
@@ -205,13 +205,15 @@ func (d *Distributed) build() error {
 		}
 		d.zeroU = make([]float64, d.coarse.Levels[0].P.Cells())
 	}
+	if d.loop != nil {
+		return d.loop.Repartition(part)
+	}
 	d.loop, err = engine.NewLoop(&engine.Config{
 		Fabric: dc.Fabric, Part: part, Workers: dc.Workers,
-		ResidualFU: arch.FUID(11), // T4 slot 2: the residual reduce
-		Faults:     dc.Faults,
-		Retry:      dc.Retry,
-		Observe:    dc.Observe,
-		Obs:        dc.Obs,
+		Faults:  dc.Faults,
+		Retry:   dc.Retry,
+		Observe: dc.Observe,
+		Obs:     dc.Obs,
 	})
 	return err
 }
@@ -257,24 +259,6 @@ func (d *Distributed) smooth(sweeps int) error {
 	return nil
 }
 
-// hostTransfer charges the fabric for a host-mediated gather or
-// scatter: every rank moves words[r] words to or from rank 0, all
-// transfers concurrent, so CommCycles grows by the sum and the
-// critical path by the worst single transfer.
-func (d *Distributed) hostTransfer(words []int64) {
-	f := d.Fabric
-	wb := int64(f.WordBytes())
-	var worst int64
-	for r := 0; r < f.P(); r++ {
-		c := f.SendCost(words[r]*wb, f.Hops(r, 0))
-		f.AddCommCycles(c)
-		if c > worst {
-			worst = c
-		}
-	}
-	f.AddMachineCycles(worst)
-}
-
 // residual evaluates the fine residual on every slab (reduce registers
 // hold the local maxima afterwards).
 func (d *Distributed) residual() error {
@@ -303,19 +287,17 @@ func (d *Distributed) vcycle() error {
 	// stay zero; restriction never reads them), restrict, and seed the
 	// coarse solve on rank 0.
 	f := d.Fabric
-	nn := d.n * d.n
 	pt := d.Part
 	if d.gatherW == nil {
 		d.gatherW = make([]int64, f.P())
 	}
-	for r := 0; r < f.P(); r++ {
-		lo := pt.Lo[r]
-		if err := f.Node(r).ReadWordsInto(PlaneR, int64(nn), d.fineR[lo*nn:(lo+pt.Planes[r])*nn]); err != nil {
-			return err
-		}
-		d.gatherW[r] = int64(pt.Planes[r] * nn)
+	if err := pt.Gather(f, PlaneR, d.fineR); err != nil {
+		return err
 	}
-	d.hostTransfer(d.gatherW)
+	for r := range d.gatherW {
+		d.gatherW[r] = int64(pt.OwnedWords(r))
+	}
+	engine.ChargeScatter(f, d.gatherW)
 	coarse := d.coarse.Levels[0]
 	cf := Restrict(d.fineR, d.n, coarse.P.N)
 	nd0 := f.Node(0)
@@ -339,15 +321,13 @@ func (d *Distributed) vcycle() error {
 	// Prolong the correction and scatter each rank's whole slab —
 	// ghost planes included, so the correction leaves them globally
 	// consistent and no exchange is needed before post-smoothing.
-	e := Prolong(cu, coarse.P.N, d.n)
-	for r := 0; r < f.P(); r++ {
-		lo := pt.Lo[r]
-		if err := f.Node(r).WriteWords(PlaneE, 0, e[(lo-1)*nn:(lo+pt.Planes[r]+1)*nn]); err != nil {
-			return err
-		}
-		d.gatherW[r] = int64((pt.Planes[r] + 2) * nn)
+	if err := pt.Scatter(f, PlaneE, Prolong(cu, coarse.P.N, d.n)); err != nil {
+		return err
 	}
-	d.hostTransfer(d.gatherW)
+	for r := range d.gatherW {
+		d.gatherW[r] = int64(pt.SlabWords(r))
+	}
+	engine.ChargeScatter(f, d.gatherW)
 	if err := barrier(d.loop.Dispatch(d.op, func(r int) *microcode.Instr {
 		return d.slabs[r].correct
 	}, -1)); err != nil {
@@ -391,14 +371,7 @@ func (d *Distributed) mirrorFine(buf *[]float64) error {
 		copy((*buf)[:nn], d.u0[:nn])
 		copy((*buf)[(d.n-1)*nn:], d.u0[(d.n-1)*nn:])
 	}
-	for r := 0; r < d.Fabric.P(); r++ {
-		lo := d.Part.Lo[r]
-		if err := d.Fabric.Node(r).ReadWordsInto(jacobi.PlaneU, int64(nn),
-			(*buf)[lo*nn:(lo+d.Part.Planes[r])*nn]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.Part.Gather(d.Fabric, jacobi.PlaneU, *buf)
 }
 
 // ringRepair is what recovery needs from the fabric: fill or retire
@@ -425,7 +398,6 @@ func (d *Distributed) recoverDead(dre *engine.DeadRankError, mirror []float64, r
 	if err != nil {
 		return err
 	}
-	d.base.Add(d.loop.Stats())
 	if err := d.build(); err != nil {
 		return err
 	}
@@ -434,23 +406,10 @@ func (d *Distributed) recoverDead(dre *engine.DeadRankError, mirror []float64, r
 	// artifact (a real survivor keeps its memory), so only the refilled
 	// slots — or the whole ring after a re-partition, when every slab
 	// boundary may have moved — pay for the scatter.
-	nn := d.n * d.n
-	words := make([]int64, d.Fabric.P())
-	deadSlot := map[int]bool{}
-	for _, r := range dre.Ranks {
-		deadSlot[r] = true
+	if err := d.Part.Scatter(d.Fabric, jacobi.PlaneU, mirror); err != nil {
+		return err
 	}
-	for r := 0; r < d.Fabric.P(); r++ {
-		lo := d.Part.Lo[r]
-		w := (d.Part.Planes[r] + 2) * nn
-		if err := d.Fabric.Node(r).WriteWords(jacobi.PlaneU, 0, mirror[(lo-1)*nn:(lo-1)*nn+w]); err != nil {
-			return err
-		}
-		if shrunk > 0 || deadSlot[r] {
-			words[r] = int64(w)
-		}
-	}
-	engine.ChargeScatter(d.Fabric, words)
+	engine.ChargeScatter(d.Fabric, d.Part.RefillWords(dre.Ranks, shrunk > 0, 1))
 	rs.Recoveries++
 	rs.DeadRanks += int64(len(dre.Ranks))
 	rs.SpareActivations += int64(spared)
@@ -501,26 +460,15 @@ func (d *Distributed) Run() (*DistResult, error) {
 		}
 	}
 	f := d.Fabric
-	nn := d.n * d.n
-	res.U = make([]float64, d.n*nn)
-	copy(res.U[:nn], d.u0[:nn])
-	copy(res.U[(d.n-1)*nn:], d.u0[(d.n-1)*nn:])
-	for r := 0; r < f.P(); r++ {
-		lo := d.Part.Lo[r]
-		if err := f.Node(r).ReadWordsInto(jacobi.PlaneU, int64(nn), res.U[lo*nn:(lo+d.Part.Planes[r])*nn]); err != nil {
-			return nil, err
-		}
+	if err := d.mirrorFine(&res.U); err != nil {
+		return nil, err
 	}
 	for r := 0; r < f.P(); r++ {
 		nd := f.Node(r)
 		res.TotalFLOPs += nd.Stats.FLOPs
-		st := nd.PlanCacheStats()
-		res.PlanCache.Hits += st.Hits
-		res.PlanCache.Misses += st.Misses
-		res.PlanCache.Entries += st.Entries
+		res.PlanCache.Add(nd.PlanCacheStats())
 	}
-	res.Faults = d.base
-	res.Faults.Add(d.loop.Stats())
+	res.Faults = d.loop.Stats()
 	if !res.Converged {
 		return res, fmt.Errorf("multigrid: no convergence in %d V-cycles (residual %g)", res.VCycles, res.Residual)
 	}

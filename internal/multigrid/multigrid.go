@@ -409,7 +409,7 @@ func (s *Solver) Run() (*Result, error) {
 		if err := s.Node.Exec(fine.residual); err != nil {
 			return nil, err
 		}
-		res.Residual = s.Node.RedReg[11] // T4 slot 2 = FU 11
+		res.Residual = s.Node.RedReg[jacobi.ResidualFU]
 		res.ResidualSeries = append(res.ResidualSeries, res.Residual)
 		if s.Node.Flag(2) {
 			res.Converged = true

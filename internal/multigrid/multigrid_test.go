@@ -196,8 +196,8 @@ func TestResidualPipelineAgainstHost(t *testing.T) {
 	for _, x := range want {
 		worst = math.Max(worst, math.Abs(x))
 	}
-	if s.Node.RedReg[11] != worst {
-		t.Errorf("residual register %g, want %g", s.Node.RedReg[11], worst)
+	if s.Node.RedReg[jacobi.ResidualFU] != worst {
+		t.Errorf("residual register %g, want %g", s.Node.RedReg[jacobi.ResidualFU], worst)
 	}
 }
 

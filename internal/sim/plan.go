@@ -147,6 +147,13 @@ type PlanCacheStats struct {
 	Entries int
 }
 
+// Add accumulates o into s.
+func (s *PlanCacheStats) Add(o PlanCacheStats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Entries += o.Entries
+}
+
 // compilePlan decodes one instruction into an ExecPlan. It performs
 // every static check the hardware would trap on — undefined opcodes,
 // capability violations, dangling switch routes, DMA ranges outside
