@@ -125,6 +125,8 @@ func TestJacobiNegativeCounts(t *testing.T) {
 		{"neg-checkpoint-every", "-checkpoint-every", "-4"},
 		{"neg-watchdog", "-watchdog", "-5"},
 		{"neg-max", "-max", "-5"},
+		{"neg-cube", "-cube", "-1"},
+		{"neg-jacobi", "-jacobi", "-5"},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			stdout, stderr, code := runCLI(t, "-jacobi", "16", "-cube", "1", tc.flag, tc.val)

@@ -106,16 +106,14 @@ func (tc TrapConfig) WithDefaults() TrapConfig {
 }
 
 // Backoff returns the simulated-cycle penalty of retry `attempt`
-// (0-based): RetryBackoffCycles·2^attempt, capped.
-func (tc TrapConfig) Backoff(attempt int) int64 {
-	b := tc.RetryBackoffCycles
-	for i := 0; i < attempt && b < tc.MaxBackoffCycles; i++ {
+// (0-based): base·2^attempt, capped at limit. Trap retries on a node
+// and the engine's fault retries share this schedule.
+func Backoff(base, limit int64, attempt int) int64 {
+	b := base
+	for i := 0; i < attempt && b < limit; i++ {
 		b <<= 1
 	}
-	if b > tc.MaxBackoffCycles {
-		b = tc.MaxBackoffCycles
-	}
-	return b
+	return min(b, limit)
 }
 
 // Armed reports whether the policy performs exception detection.

@@ -48,13 +48,13 @@ func TestTrapConfigDefaultsAndBackoff(t *testing.T) {
 		t.Fatalf("defaults not filled: %+v", tc)
 	}
 	// Exponential, capped.
-	if b := tc.Backoff(0); b != 64 {
+	if b := Backoff(tc.RetryBackoffCycles, tc.MaxBackoffCycles, 0); b != 64 {
 		t.Errorf("backoff(0) = %d", b)
 	}
-	if b := tc.Backoff(3); b != 512 {
+	if b := Backoff(tc.RetryBackoffCycles, tc.MaxBackoffCycles, 3); b != 512 {
 		t.Errorf("backoff(3) = %d", b)
 	}
-	if b := tc.Backoff(20); b != DefaultTrapBackoffCap {
+	if b := Backoff(tc.RetryBackoffCycles, tc.MaxBackoffCycles, 20); b != DefaultTrapBackoffCap {
 		t.Errorf("backoff(20) = %d, want cap %d", b, DefaultTrapBackoffCap)
 	}
 	// Explicit fields survive.
@@ -62,7 +62,7 @@ func TestTrapConfigDefaultsAndBackoff(t *testing.T) {
 	if tc2.MaxRetries != 7 || tc2.RetryBackoffCycles != 10 || tc2.MaxBackoffCycles != 15 {
 		t.Errorf("explicit fields overwritten: %+v", tc2)
 	}
-	if b := tc2.Backoff(4); b != 15 {
+	if b := Backoff(tc2.RetryBackoffCycles, tc2.MaxBackoffCycles, 4); b != 15 {
 		t.Errorf("custom cap backoff = %d", b)
 	}
 }

@@ -5,9 +5,9 @@
 // with fault injection, bounded retry and rank-ordered stat merges —
 // separated from any particular numerical scheme. Solvers (the
 // hypercube Jacobi solve, the distributed multigrid) write their own
-// loops over one Loop's phase calls; checkpoints, rollback and ring
-// repair belong to the solver, and Repartition carries the loop across
-// a repair.
+// loops over one Loop's phase calls; checkpoints and rollback belong to
+// the solver, and Recover repairs the ring after a permanent node loss
+// and carries the loop across the repair.
 //
 // The engine addresses ranks on a ring; the Fabric interface maps ring
 // ranks onto real machine topology (the hypercube adapter routes them
@@ -76,6 +76,11 @@ type Fabric interface {
 	// the aggregate router load.
 	AddMachineCycles(cycles int64)
 	AddCommCycles(cycles int64)
+	// RecoverRanks repairs the ring after the given ranks died for good:
+	// hot spares take over the lowest dead slots, and the remaining
+	// slots are retired, shrinking the ring. It returns how many slots
+	// were spared and how many shrunk; P reports the repaired ring.
+	RecoverRanks(dead []int) (spared, shrunk int, err error)
 }
 
 // Config parameterizes a Loop.
@@ -108,18 +113,21 @@ type Config struct {
 // instruction on every rank, CombineResidual reduces the convergence
 // signal, Exchange swaps ghost faces between ring neighbours. All
 // fault/retry/stat accounting lives here; clients sequence the phases.
-// One Loop serves a whole solve: after a ring repair, Repartition
-// re-sizes it for the new partition and keeps the fault counters and
-// the trace timeline running.
+// One Loop serves a whole solve: Recover repairs the ring after a
+// permanent node loss, and Repartition re-sizes the loop for the new
+// partition, keeping the fault and recovery counters and the trace
+// timeline running.
 type Loop struct {
 	cfg   Config
 	retry RetryPolicy
 
-	fst   FaultStats // live counters
-	sweep []int64    // per-rank dispatch cycles
-	idle  []bool     // per-rank: dead or out of budget, so no execution
-	cost  []int64    // per-pair exchange cost
-	link  []link     // per-pair exchange outcome
+	fst   FaultStats    // live counters
+	rec   RecoveryStats // completed recoveries
+	lost  []*sim.Node   // boards lost to Recover, in the order they died
+	sweep []int64       // per-rank dispatch cycles
+	idle  []bool        // per-rank: dead or out of budget, so no execution
+	cost  []int64       // per-pair exchange cost
+	link  []link        // per-pair exchange outcome
 
 	// halo holds each rank's outgoing faces: halo[2r] the down face
 	// (last owned plane), halo[2r+1] the up face (first owned plane).

@@ -16,10 +16,12 @@ import (
 )
 
 // ringFabric is a small real-node Fabric for pinning the halo exchange:
-// three ranks, ring distance |from-to| hops, cost = bytes + 10·hops, and
-// the same XOR corruption the hypercube machine applies.
+// three ranks, ring distance |from-to| hops, cost = bytes + 10·hops, the
+// same XOR corruption the hypercube machine applies, and the machine's
+// ring repair (spares into the lowest dead slots, then shrink).
 type ringFabric struct {
 	nodes         []*sim.Node
+	spares        []*sim.Node
 	stretch       int // hops per ring step; 0 means 1
 	machine, comm int64
 }
@@ -62,6 +64,22 @@ func (f *ringFabric) Corrupt(r, plane int, addr int64, count int) error {
 }
 func (f *ringFabric) AddMachineCycles(c int64) { f.machine += c }
 func (f *ringFabric) AddCommCycles(c int64)    { f.comm += c }
+func (f *ringFabric) RecoverRanks(dead []int) (spared, shrunk int, err error) {
+	var retire []int
+	for _, d := range dead {
+		if len(f.spares) == 0 {
+			retire = append(retire, d)
+			continue
+		}
+		f.nodes[d], f.spares = f.spares[0], f.spares[1:]
+		spared++
+	}
+	for i := len(retire) - 1; i >= 0; i-- {
+		f.nodes = slices.Delete(f.nodes, retire[i], retire[i]+1)
+		shrunk++
+	}
+	return spared, shrunk, nil
+}
 
 func flip(v float64) float64 { return math.Float64frombits(math.Float64bits(v) ^ 0x8000000000000421) }
 

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/arch"
 	"repro/internal/diag"
 )
 
@@ -519,16 +520,9 @@ func (rp RetryPolicy) WithDefaults() RetryPolicy {
 }
 
 // backoff returns the simulated-cycle penalty of retry `attempt`
-// (0-based): BackoffCycles·2^attempt, capped.
+// (0-based) under the policy: arch.Backoff's capped doubling.
 func (rp RetryPolicy) backoff(attempt int) int64 {
-	b := rp.BackoffCycles
-	for i := 0; i < attempt && b < rp.MaxBackoffCycles; i++ {
-		b <<= 1
-	}
-	if b > rp.MaxBackoffCycles {
-		b = rp.MaxBackoffCycles
-	}
-	return b
+	return arch.Backoff(rp.BackoffCycles, rp.MaxBackoffCycles, attempt)
 }
 
 // BudgetError reports a retry budget exhausted by injected faults. The

@@ -2,10 +2,13 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/microcode"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -121,9 +124,10 @@ func (f *scatterFabric) Hops(from, to int) int {
 	}
 	return to - from
 }
-func (f *scatterFabric) Corrupt(int, int, int64, int) error { return nil }
-func (f *scatterFabric) AddMachineCycles(c int64)           { f.machine += c }
-func (f *scatterFabric) AddCommCycles(c int64)              { f.com += c }
+func (f *scatterFabric) Corrupt(int, int, int64, int) error   { return nil }
+func (f *scatterFabric) AddMachineCycles(c int64)             { f.machine += c }
+func (f *scatterFabric) AddCommCycles(c int64)                { f.com += c }
+func (f *scatterFabric) RecoverRanks([]int) (int, int, error) { return 0, 0, nil }
 
 // TestChargeScatter: the post-recovery scatter charges every non-empty
 // message to the router aggregate and only the worst one to the
@@ -160,5 +164,178 @@ func TestDeadRankErrorAndStats(t *testing.T) {
 	want := "recoveries=2 dead=3 spares=1 shrinks=1 buddy=1 checkpoint=1 resweeps=3"
 	if s.String() != want {
 		t.Errorf("stats = %q, want %q", s, want)
+	}
+}
+
+// TestLoopRecover pins the shared recovery path on the ring fabric: a
+// two-plane mirror taken at boundary 2, rank 1 dying at sweep 3, then
+// Recover with a hot spare (the partition is kept and only the dead
+// slot is refilled) and without one (a fresh two-rank partition, every
+// slab refilled). Either way every slab holds the mirrored state, the
+// loop runs on, the round is counted and traced without an Observe
+// sample, and the one-event plan allows no second round.
+func TestLoopRecover(t *testing.T) {
+	const n, nz = 4, 8 // six interior planes: 2 per rank on three ranks, 3 on two
+	nn := n * n
+	global := func(plane int) []float64 {
+		g := make([]float64, nz*nn)
+		for i := range g {
+			g[i] = float64(1000*plane + i + 1)
+		}
+		return g
+	}
+	cases := []struct {
+		name      string
+		spares    int
+		source    string
+		resweeps  int64
+		p         int
+		stats     RecoveryStats
+		comm, crt int64 // refill charge: router aggregate, critical path
+	}{
+		// The dead slot's two 4-plane slabs: 128 words over one hop.
+		{name: "spare", spares: 1, source: "buddy", resweeps: 1, p: 3,
+			stats: RecoveryStats{Recoveries: 1, DeadRanks: 1, SpareActivations: 1, BuddyRestores: 1, ResweptSweeps: 1},
+			comm:  128*8 + 10, crt: 128*8 + 10},
+		// Both survivors' two 5-plane slabs, 160 words each, over zero
+		// hops and one.
+		{name: "shrink", source: "checkpoint", resweeps: 2, p: 2,
+			stats: RecoveryStats{Recoveries: 1, DeadRanks: 1, Shrinks: 1, CheckpointRestores: 1, ResweptSweeps: 2},
+			comm:  160*8 + 160*8 + 10, crt: 160*8 + 10},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newRingFabric(t, 3)
+			f.spares = newRingFabric(t, tc.spares).nodes
+			part, err := NewPartition(3, n, nz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for plane := 0; plane < 2; plane++ {
+				if err := part.Scatter(f, plane, global(plane)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			o := obs.New()
+			var phases []string
+			lp, err := NewLoop(&Config{Fabric: f, Part: part, Obs: o,
+				Faults:  MustFaultPlan(FaultEvent{Sweep: 3, Phase: PhaseDispatch, Rank: 1, Kind: FaultKillForever}),
+				Observe: func(phase string, sweep int, cycles int64) { phases = append(phases, phase) }})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The mirror holds the owned planes plus the global boundary:
+			// the whole global grid.
+			mr := NewMirror(n, nz, 0, 1)
+			if err := mr.Take(f, part, 2, []float64{0.5, 0.25}); err != nil {
+				t.Fatal(err)
+			}
+			for plane, g := range mr.Grids {
+				if !slices.Equal(g, global(plane)) {
+					t.Fatalf("mirrored plane %d %v, want %v", plane, g, global(plane))
+				}
+			}
+
+			halt := func(r int) *microcode.Instr { return haltInstr(f.nodes[r]) }
+			if _, err := lp.Dispatch(2, halt, 1); err != nil {
+				t.Fatal(err)
+			}
+			var dre *DeadRankError
+			if _, err := lp.Dispatch(3, halt, 1); !errors.As(err, &dre) {
+				t.Fatalf("dispatch: %v, want a dead rank", err)
+			}
+			dead := f.nodes[1]
+			for r, nd := range f.nodes { // the rebuild reloads the slabs
+				for plane := 0; plane < 2; plane++ {
+					if err := nd.WriteWords(plane, 0, make([]float64, part.SlabWords(r))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			machine, comm, observed := f.machine, f.comm, len(phases)
+
+			var rebuilt *Partition
+			if err := lp.Recover(dre, mr, tc.source, tc.resweeps, func(p *Partition) error {
+				rebuilt = p
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if rebuilt == nil || rebuilt.P != tc.p || (rebuilt == part) != (tc.spares > 0) {
+				t.Fatalf("rebuild got partition %+v; want %d ranks, the old partition kept only after a spare", rebuilt, tc.p)
+			}
+			for r := 0; r < rebuilt.P; r++ {
+				lo := (rebuilt.Lo[r] - 1) * nn
+				for plane := 0; plane < 2; plane++ {
+					got, err := f.nodes[r].ReadWords(plane, 0, rebuilt.SlabWords(r))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := global(plane)[lo : lo+rebuilt.SlabWords(r)]; !slices.Equal(got, want) {
+						t.Errorf("rank %d plane %d restored %v, want %v", r, plane, got, want)
+					}
+				}
+			}
+			if dc, dm := f.comm-comm, f.machine-machine; dc != tc.comm || dm != tc.crt {
+				t.Errorf("refill charged comm/machine %d/%d, want %d/%d", dc, dm, tc.comm, tc.crt)
+			}
+			if got := lp.Recovery(); got != tc.stats {
+				t.Errorf("recovery stats %s, want %s", got, tc.stats)
+			}
+			if nodes := lp.Nodes(); len(nodes) != tc.p+1 || nodes[tc.p] != dead {
+				t.Errorf("loop nodes %d, want the %d live boards then the dead one", len(nodes), tc.p)
+			}
+			if len(phases) != observed {
+				t.Errorf("Recover emitted Observe samples %v", phases[observed:])
+			}
+
+			// The same loop runs on over the repaired ring.
+			if _, err := lp.Dispatch(3, halt, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lp.Exchange(3, 1); err != nil {
+				t.Fatal(err)
+			}
+
+			totals := o.Reg.Totals()
+			for key, want := range map[string]int64{
+				"counter/engine.recovery.recoveries":          1,
+				"counter/engine.recovery.dead_ranks":          1,
+				"counter/engine.recovery." + tc.name:          1,
+				"counter/engine.recovery.source." + tc.source: 1,
+				"hist/engine.recovery.resweeps.sum":           tc.resweeps,
+				"counter/engine.topology.ring":                2,
+			} {
+				if totals[key] != want {
+					t.Errorf("%s = %d, want %d", key, totals[key], want)
+				}
+			}
+			last, events := int64(0), 0
+			for _, sp := range o.Tr.Spans() {
+				if sp.TS < last {
+					t.Errorf("%s at ts %d follows ts %d", sp.Name, sp.TS, last)
+				}
+				last = sp.TS
+				if sp.Name == "recovery" {
+					events++
+					if sp.Cause != tc.name || sp.Args["resume_sweep"] != 2 {
+						t.Errorf("recovery event %+v, want cause %s resuming sweep 2", sp, tc.name)
+					}
+				}
+			}
+			if events != 1 {
+				t.Errorf("%d recovery events, want 1", events)
+			}
+
+			// The plan's one event is spent: a second round is refused.
+			again := &DeadRankError{Sweep: 4, Ranks: []int{0}}
+			if err := lp.Recover(again, mr, tc.source, 1, func(*Partition) error {
+				t.Error("rebuild called past the recovery bound")
+				return nil
+			}); err != error(again) {
+				t.Errorf("second recovery: %v, want the dead-rank error back", err)
+			}
+		})
 	}
 }

@@ -308,10 +308,6 @@ func (f fabric) Corrupt(r, plane int, addr int64, count int) error {
 }
 func (f fabric) AddMachineCycles(c int64) { f.m.MachineCycles += c }
 func (f fabric) AddCommCycles(c int64)    { f.m.CommCycles += c }
-
-// RecoverRanks lets engine clients that only hold the Fabric (the
-// distributed multigrid) reach the machine's ring repair through a
-// type assertion.
 func (f fabric) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 	return f.m.RecoverRanks(dead)
 }
@@ -478,8 +474,8 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 	res.Faults = s.base
 	res.Faults.Add(faults)
 	m.FaultCounters.Add(faults)
-	res.Recovery = s.rec
-	m.RecoveryCounters.Add(s.rec)
+	res.Recovery = s.lp.Recovery()
+	m.RecoveryCounters.Add(res.Recovery)
 	res.Cycles = m.MachineCycles
 	if res.Cycles > 0 {
 		res.GFLOPS = float64(res.TotalFLOPs) / (float64(res.Cycles) / m.Cfg.ClockHz) / 1e9
@@ -662,13 +658,4 @@ func (r *JacobiResult) Efficiency(m *Machine) float64 {
 		return 0
 	}
 	return r.GFLOPS / peak
-}
-
-// ResidualNorm is a helper for reporting: max-abs over a field.
-func ResidualNorm(u []float64) float64 {
-	worst := 0.0
-	for _, v := range u {
-		worst = math.Max(worst, math.Abs(v))
-	}
-	return worst
 }

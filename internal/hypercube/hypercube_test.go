@@ -293,15 +293,6 @@ func TestPeakAndMemoryClaims(t *testing.T) {
 	}
 }
 
-func TestResidualNorm(t *testing.T) {
-	if ResidualNorm([]float64{1, -5, 2}) != 5 {
-		t.Error("residual norm wrong")
-	}
-	if ResidualNorm(nil) != 0 {
-		t.Error("empty norm wrong")
-	}
-}
-
 // TestNegativeCountsRejected: a negative sweep count, checkpoint stride,
 // watchdog budget or spare pool is a typed R041 error, never a silently
 // ignored value.

@@ -2,6 +2,7 @@ package hypercube
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/diag"
@@ -11,15 +12,16 @@ import (
 )
 
 // Degraded-mode recovery: the machine half of surviving permanent node
-// loss. The engine detects a dead rank at a dispatch barrier and hands
-// this client a DeadRankError; the client repairs the ring — a hot
-// spare adopts the dead slot's hypercube address, or, with the spare
-// pool empty, the slot is retired and the surviving ranks re-partition
-// the grid — restores the iterate from the in-memory buddy mirror (or
-// the last checkpoint), and resumes the solve from that sweep
-// boundary. Both the restored state and the recovery clocks are pure
-// functions of the fault plan, so recovered runs stay bit-identical to
-// fault-free runs in grids and residual series at any survivor count.
+// loss. The engine detects a dead rank at a dispatch barrier and its
+// Loop.Recover repairs the ring through the machine — a hot spare
+// adopts the dead slot's hypercube address, or, with the spare pool
+// empty, the slot is retired and the surviving ranks re-partition the
+// grid. The Jacobi solve supplies the policy: the in-memory buddy
+// mirror (or the last checkpoint) it restores from and the sweep
+// boundary it resumes at. Both the restored state and the recovery
+// clocks are pure functions of the fault plan, so recovered runs stay
+// bit-identical to fault-free runs in grids and residual series at any
+// survivor count.
 
 // AddSpares provisions n cold standby boards for degraded-mode
 // recovery. Spares are idle until a permanent kill fires: they cost no
@@ -64,9 +66,9 @@ func (m *Machine) Liveness() Liveness {
 // permanently: spares (when available) take over the lowest dead slots
 // first, keeping the slot's hypercube address; the remaining dead
 // slots are deleted, shrinking the ring. It returns how many slots
-// were spared and how many shrunk. The caller owns re-partitioning and
-// state restoration; this only fixes the rank → board mapping, the
-// combine pricing and the observability shards.
+// were spared and how many shrunk. engine.Loop.Recover owns
+// re-partitioning and state restoration; this only fixes the rank →
+// board mapping, the combine pricing and the observability shards.
 func (m *Machine) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 	p := len(m.ring)
 	seen := make(map[int]bool, len(dead))
@@ -111,91 +113,41 @@ func (m *Machine) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 	return spared, shrunk, nil
 }
 
-// buddyStore is the in-memory buddy mirror: at armed sweep boundaries
-// every rank's full local iterate (both planes, ghosts included) is
-// mirrored to its ring buddy — modeled host-side as one store, with
-// availability gated on the buddy partner (rank+1 mod P) surviving.
-// Like checkpoints, mirrors are host-side bookkeeping: they never move
-// the simulated clocks, so a clean run with mirroring armed has
-// bit-identical cycle counts to one without.
-type buddyStore struct {
-	valid  bool
-	sweep  int
-	series []float64
-	part   *engine.Partition
-	u, v   [][]float64
-}
-
-// take mirrors the current sweep-boundary state. Buffers are reused
-// across sweeps of one partition generation.
-func (b *buddyStore) take(m *Machine, part *engine.Partition, sweep int, series []float64) error {
-	if b.part != part {
-		b.u = make([][]float64, part.P)
-		b.v = make([][]float64, part.P)
-		for r := 0; r < part.P; r++ {
-			w := part.SlabWords(r)
-			b.u[r] = make([]float64, w)
-			b.v[r] = make([]float64, w)
-		}
-		b.part = part
-	}
-	for r := 0; r < part.P; r++ {
-		if err := m.ring[r].ReadWordsInto(jacobi.PlaneU, 0, b.u[r]); err != nil {
-			return err
-		}
-		if err := m.ring[r].ReadWordsInto(jacobi.PlaneV, 0, b.v[r]); err != nil {
-			return err
-		}
-	}
-	b.sweep = sweep
-	b.series = append(b.series[:0], series...)
-	b.valid = true
-	return nil
-}
-
-// available reports whether the mirror can restore a run that lost the
-// given ranks of the given partition: the mirror must be from that
-// partition generation, and every dead rank's buddy partner must have
-// survived (the partner holds the mirror).
-func (b *buddyStore) available(part *engine.Partition, dead []int) bool {
-	if !b.valid || b.part != part || part.P < 2 {
+// buddyHolds reports whether the buddy mirror can restore a solve that
+// lost the given ranks: the mirror must be from the current partition
+// generation, and every dead rank's buddy partner (rank+1 mod P), which
+// holds its mirror, must have survived.
+func (s *jacobiSolve) buddyHolds(dead []int) bool {
+	part := s.part
+	if s.buddy == nil || s.buddy.Part != part || part.P < 2 {
 		return false
 	}
-	isDead := make(map[int]bool, len(dead))
 	for _, d := range dead {
-		isDead[d] = true
-	}
-	for _, d := range dead {
-		if d < 0 || d >= part.P || isDead[(d+1)%part.P] {
+		if d < 0 || d >= part.P || slices.Contains(dead, (d+1)%part.P) {
 			return false
 		}
 	}
 	return true
 }
 
-// recover handles a permanent node loss: pick the state source, repair
-// the ring, rebuild the partition and code, repartition the loop,
-// restore the iterate and price the scatter. It returns the sweep
-// boundary to resume from; s.series holds that boundary's residual
-// history afterwards.
+// recover handles a permanent node loss: it picks the state source —
+// the buddy mirror, else LastCheckpoint — and has the loop repair the
+// ring, rebuild the code over the repaired partition and restore the
+// iterate. A stale pre-recovery checkpoint can no longer restore the
+// new shape, so it then synthesizes a fresh one at the resume
+// boundary. It returns the sweep boundary to resume from; s.series
+// holds that boundary's residual history afterwards.
 func (s *jacobiSolve) recover(dre *engine.DeadRankError) (int, error) {
 	m := s.m
-	oldPart := s.part
-
-	var gu, gv []float64
-	var resume int
-	var series []float64
-	var source string
-	switch {
-	case s.buddy.available(oldPart, dre.Ranks):
-		gu = s.buddy.part.Assemble(s.buddy.u)
-		gv = s.buddy.part.Assemble(s.buddy.v)
-		resume, series, source = s.buddy.sweep, s.buddy.series, "buddy"
-	case m.LastCheckpoint != nil:
+	mr, source := s.buddy, "buddy"
+	if !s.buddyHolds(dre.Ranks) {
 		ck := m.LastCheckpoint
-		if ck.P != oldPart.P || ck.N != oldPart.N || ck.Nz != oldPart.Nz {
+		if ck == nil {
+			return 0, fmt.Errorf("hypercube: rank(s) %v died with no buddy mirror and no checkpoint to restore from", dre.Ranks)
+		}
+		if ck.P != s.part.P || ck.N != s.part.N || ck.Nz != s.part.Nz {
 			return 0, fmt.Errorf("hypercube: checkpoint shape P=%d N=%d Nz=%d cannot restore a P=%d N=%d Nz=%d solve",
-				ck.P, ck.N, ck.Nz, oldPart.P, oldPart.N, oldPart.Nz)
+				ck.P, ck.N, ck.Nz, s.part.P, s.part.N, s.part.Nz)
 		}
 		ckPart, err := ck.partition()
 		if err != nil {
@@ -204,87 +156,25 @@ func (s *jacobiSolve) recover(dre *engine.DeadRankError) (int, error) {
 		if err := ck.compatible(ckPart); err != nil {
 			return 0, err
 		}
-		gu = ckPart.Assemble(ck.U)
-		gv = ckPart.Assemble(ck.V)
-		resume, series, source = ck.Sweep, ck.Residuals, "checkpoint"
-	default:
-		return 0, fmt.Errorf("hypercube: rank(s) %v died with no buddy mirror and no checkpoint to restore from", dre.Ranks)
+		mr = &engine.Mirror{Sweep: ck.Sweep, Series: ck.Residuals, Part: ckPart,
+			Planes: []int{jacobi.PlaneU, jacobi.PlaneV},
+			Grids:  [][]float64{ckPart.Assemble(ck.U), ckPart.Assemble(ck.V)}}
+		source = "checkpoint"
 	}
-
-	spared, shrunk, err := m.RecoverRanks(dre.Ranks)
-	if err != nil {
+	// Both boundaries precede the death.
+	if err := s.lp.Recover(dre, mr, source, int64(dre.Sweep-mr.Sweep), s.build); err != nil {
 		return 0, err
 	}
-	newPart := oldPart
-	if shrunk > 0 {
-		if newPart, err = engine.NewPartition(len(m.ring), oldPart.N, oldPart.Nz); err != nil {
-			return 0, err
-		}
-	}
-	if err := s.build(newPart); err != nil {
-		return 0, err
-	}
-
-	// Restore the full local grids everywhere: CompileSweeps reloaded
-	// every slab's initial guess, so survivors rewrite their planes from
-	// their own (local, free) mirror region while dead slots — and, on a
-	// shrink, every displaced slab — receive theirs over the fabric.
-	fab := m.Fabric()
-	if err := newPart.Scatter(fab, jacobi.PlaneU, gu); err != nil {
-		return 0, err
-	}
-	if err := newPart.Scatter(fab, jacobi.PlaneV, gv); err != nil {
-		return 0, err
-	}
-	engine.ChargeScatter(fab, newPart.RefillWords(dre.Ranks, shrunk > 0, 2))
-	s.series = append(s.series[:0], series...)
-
-	// A stale pre-recovery checkpoint can no longer restore the new
-	// shape, so synthesize a fresh one at the resume boundary (internal
-	// only — not sent to the sink; its counters are the restore base,
-	// which rollback never reads).
+	s.series = append(s.series[:0], mr.Series...)
+	// The synthesized checkpoint is internal only — not sent to the
+	// sink; its counters are the restore base, which rollback never
+	// reads.
 	if m.CheckpointEvery > 0 || m.LastCheckpoint != nil {
-		ck, err := m.snapshot(resume, newPart, s.global, series, s.base, s.pcBase, s.trapBase)
+		ck, err := m.snapshot(mr.Sweep, s.part, s.global, mr.Series, s.base, s.pcBase, s.trapBase)
 		if err != nil {
 			return 0, err
 		}
 		m.LastCheckpoint = ck
 	}
-
-	mode := "shrink"
-	switch {
-	case spared > 0 && shrunk > 0:
-		mode = "spare+shrink"
-	case spared > 0:
-		mode = "spare"
-	}
-	s.rec.Recoveries++
-	s.rec.DeadRanks += int64(len(dre.Ranks))
-	s.rec.SpareActivations += int64(spared)
-	s.rec.Shrinks += int64(shrunk)
-	switch source {
-	case "buddy":
-		s.rec.BuddyRestores++
-	case "checkpoint":
-		s.rec.CheckpointRestores++
-	}
-	resweep := int64(dre.Sweep - resume) // both boundaries precede the death
-	s.rec.ResweptSweeps += resweep
-	if o := m.Obs; o != nil {
-		o.Inc("engine.recovery.recoveries")
-		if spared > 0 {
-			o.Add("engine.recovery.spare", int64(spared))
-		}
-		if shrunk > 0 {
-			o.Add("engine.recovery.shrink", int64(shrunk))
-		}
-		o.Inc("engine.recovery.source." + source)
-		o.Observe("engine.recovery.resweeps", resweep)
-		s.lp.Event("recovery", mode, map[string]int64{
-			"resume_sweep": int64(resume),
-			"spared":       int64(spared),
-			"shrunk":       int64(shrunk),
-		})
-	}
-	return resume, s.lp.Repartition(newPart)
+	return mr.Sweep, nil
 }

@@ -21,14 +21,15 @@ type jacobiSolve struct {
 	lp       *engine.Loop
 	part     *engine.Partition
 	fwd, bwd []*microcode.Instr
-	buddy    buddyStore
+	// buddy is the in-memory buddy mirror of both iterate planes; nil
+	// when the machine's BuddyEvery policy leaves it off.
+	buddy *engine.Mirror
 
 	// series is the residual history so far; own counts the checkpoints
-	// and restores the solve made (the loop counts the faults); rec
-	// counts degraded-mode recoveries.
+	// and restores the solve made (the loop counts the faults and the
+	// recoveries).
 	series []float64
 	own    FaultStats
-	rec    engine.RecoveryStats
 
 	// Restore bases (from m.Restore), added to the live counters.
 	base     FaultStats
@@ -58,6 +59,9 @@ func (s *jacobiSolve) build(part *engine.Partition) error {
 }
 
 // buddyEvery resolves the machine's BuddyEvery policy for this solve.
+// The mirror stands for each rank's owned planes copied to its ring
+// buddy (rank+1 mod P); it is host bookkeeping, like checkpoints, and
+// never moves the simulated clocks.
 func (s *jacobiSolve) buddyEvery() int {
 	m := s.m
 	switch {
@@ -91,9 +95,8 @@ func (s *jacobiSolve) faults() FaultStats {
 // configuration; simulated time is not rolled back — the lost work
 // cost real cycles. A permanent node loss repairs the ring and resumes
 // from the boundary recover restored, with the same loop: fault
-// counters and the trace timeline continue. Each recovery consumes at
-// least one fired plan event, so the rounds are bounded by the plan
-// length.
+// counters and the trace timeline continue, and the loop bounds the
+// recovery rounds by the plan length.
 //
 // It returns the sweeps completed, the last combined residual and
 // whether it converged.
@@ -101,6 +104,9 @@ func (s *jacobiSolve) run(it, skipAt int) (sweeps int, residual float64, converg
 	m, lp, tol := s.m, s.lp, s.global.Tol
 	maxRestores := m.Retry.WithDefaults().MaxRestores
 	buddyEvery := s.buddyEvery()
+	if buddyEvery > 0 {
+		s.buddy = engine.NewMirror(s.global.N, s.global.Nz, jacobi.PlaneU, jacobi.PlaneV)
+	}
 	restores := 0
 	sweeps = it
 
@@ -127,7 +133,7 @@ func (s *jacobiSolve) run(it, skipAt int) (sweeps int, residual float64, converg
 			lp.HostPhase("checkpoint", it)
 		}
 		if buddyEvery > 0 && it%buddyEvery == 0 {
-			if err := s.buddy.take(m, s.part, it, s.series); err != nil {
+			if err := s.buddy.Take(m.Fabric(), s.part, it, s.series); err != nil {
 				return 0, 0, false, err
 			}
 			lp.HostPhase("buddy", it)
@@ -140,7 +146,7 @@ func (s *jacobiSolve) run(it, skipAt int) (sweeps int, residual float64, converg
 		be, err := lp.Dispatch(it, instr, plane)
 		if err != nil {
 			var dre *engine.DeadRankError
-			if !errors.As(err, &dre) || !m.Faults.HasPermanent() || int(s.rec.Recoveries) >= len(m.Faults.Events) {
+			if !errors.As(err, &dre) {
 				return 0, 0, false, err
 			}
 			at, err := s.recover(dre)

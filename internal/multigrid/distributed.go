@@ -32,14 +32,16 @@ import (
 //
 // Degraded-mode recovery works at V-cycle granularity. When the fault
 // plan carries a permanent kill, the driver mirrors the global fine
-// iterate to the host at the top of every cycle (free in simulated
-// time, like buddy checkpoints). A DeadRankError mid-cycle repairs the
-// ring through the fabric (hot spare or shrinking re-partition),
-// rebuilds the slabs and the coarse chain over the survivors, scatters
-// the mirrored iterate back, and replays the interrupted cycle. The
-// fine U is the whole cross-cycle state — residual, correction and
-// coarse grids are recomputed inside each cycle — so the replayed
-// trajectory is bit-identical to the fault-free run.
+// iterate to the host at the top of every cycle (an engine.Mirror,
+// free in simulated time like the Jacobi buddy mirror). A
+// DeadRankError mid-cycle goes to the loop's Recover, which repairs
+// the ring through the fabric (hot spare or shrinking re-partition),
+// has build recompile the slabs and the coarse chain over the
+// survivors and scatters the mirrored iterate back; the driver then
+// replays the interrupted cycle. The fine U is the whole cross-cycle
+// state — residual, correction and coarse grids are recomputed inside
+// each cycle — so the replayed trajectory is bit-identical to the
+// fault-free run.
 type Distributed struct {
 	Fabric engine.Fabric
 	Cfg    arch.Config
@@ -101,8 +103,10 @@ type DistResult struct {
 	Residual       float64
 	Converged      bool
 	ResidualSeries []float64
-	TotalFLOPs     int64
-	PlanCache      sim.PlanCacheStats
+	// TotalFLOPs and PlanCache sum every board that ran work, boards
+	// lost to a recovery included.
+	TotalFLOPs int64
+	PlanCache  sim.PlanCacheStats
 	// Faults counts injected faults and the retries they caused;
 	// Recovery counts degraded-mode recoveries (dead ranks, spares,
 	// shrinks, replayed V-cycles).
@@ -131,26 +135,34 @@ func NewDistributed(dc DistConfig) (*Distributed, error) {
 		n: n, u0: append([]float64(nil), gp.U0...),
 		fineR: make([]float64, n*n*n),
 	}
-	if err := d.build(); err != nil {
+	part, err := engine.NewPartition(dc.Fabric.P(), n, n)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.build(part); err != nil {
+		return nil, err
+	}
+	d.loop, err = engine.NewLoop(&engine.Config{
+		Fabric: dc.Fabric, Part: part, Workers: dc.Workers,
+		Faults:  dc.Faults,
+		Retry:   dc.Retry,
+		Observe: dc.Observe,
+		Obs:     dc.Obs,
+	})
+	if err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// build (re)constructs everything that depends on the current ring:
-// the partition, the per-rank slab levels and their compiled
-// pipelines, the coarse chain on rank 0's node, and the engine loop —
-// created at construction, repartitioned after a ring repair (when the
-// rank count or the slab boundaries may have changed), so its fault
-// counters and trace timeline run on through the recovery.
-func (d *Distributed) build() error {
+// build (re)constructs everything that depends on the ring and its
+// partition: the per-rank slab levels and their compiled pipelines and
+// the coarse chain on rank 0's node. It runs at construction and again
+// from the loop's Recover after a ring repair.
+func (d *Distributed) build(part *engine.Partition) error {
 	dc := d.dc
 	n := d.n
-	p := dc.Fabric.P()
-	part, err := engine.NewPartition(p, n, n)
-	if err != nil {
-		return err
-	}
+	p := part.P
 	// The global fine problem, built exactly like the single-node
 	// solver's finest level: model problem, ω-damped interior mask.
 	gp := jacobi.NewModelProblem(n, dc.Tol, 1)
@@ -205,17 +217,7 @@ func (d *Distributed) build() error {
 		}
 		d.zeroU = make([]float64, d.coarse.Levels[0].P.Cells())
 	}
-	if d.loop != nil {
-		return d.loop.Repartition(part)
-	}
-	d.loop, err = engine.NewLoop(&engine.Config{
-		Fabric: dc.Fabric, Part: part, Workers: dc.Workers,
-		Faults:  dc.Faults,
-		Retry:   dc.Retry,
-		Observe: dc.Observe,
-		Obs:     dc.Obs,
-	})
-	return err
+	return nil
 }
 
 // barrier folds a loop phase's two-channel result into one error: a
@@ -360,81 +362,21 @@ func (d *Distributed) cycle() (float64, error) {
 	return worst, nil
 }
 
-// mirrorFine snapshots the global fine iterate to the host: each
-// rank's owned interior planes plus the fixed boundary planes from the
-// initial guess. Host-side bookkeeping, zero simulated cycles — the
-// exact analogue of the Jacobi driver's buddy mirror.
-func (d *Distributed) mirrorFine(buf *[]float64) error {
-	nn := d.n * d.n
-	if *buf == nil {
-		*buf = make([]float64, d.n*nn)
-		copy((*buf)[:nn], d.u0[:nn])
-		copy((*buf)[(d.n-1)*nn:], d.u0[(d.n-1)*nn:])
-	}
-	return d.Part.Gather(d.Fabric, jacobi.PlaneU, *buf)
-}
-
-// ringRepair is what recovery needs from the fabric: fill or retire
-// the dead slots (hypercube.Machine implements it with hot spares and
-// ring shrinking).
-type ringRepair interface {
-	RecoverRanks(dead []int) (spared, shrunk int, err error)
-}
-
-// recoverDead repairs the ring after a permanent death, rebuilds the
-// solver over the surviving ranks and scatters the cycle-boundary
-// mirror back into the slabs. The interrupted cycle replays from its
-// top afterwards; the fault plan's firing counters persist across the
-// rebuild, so the replay does not re-suffer the death.
-func (d *Distributed) recoverDead(dre *engine.DeadRankError, mirror []float64, rs *engine.RecoveryStats) error {
-	rr, ok := d.Fabric.(ringRepair)
-	if !ok {
-		return fmt.Errorf("multigrid: fabric cannot repair dead ranks: %w", dre)
-	}
-	if mirror == nil {
-		return fmt.Errorf("multigrid: no cycle-boundary mirror to restore: %w", dre)
-	}
-	spared, shrunk, err := rr.RecoverRanks(dre.Ranks)
-	if err != nil {
-		return err
-	}
-	if err := d.build(); err != nil {
-		return err
-	}
-	// Restore the mirrored iterate into every rank's slab, ghost planes
-	// included. Survivors restoring their own planes is a simulation
-	// artifact (a real survivor keeps its memory), so only the refilled
-	// slots — or the whole ring after a re-partition, when every slab
-	// boundary may have moved — pay for the scatter.
-	if err := d.Part.Scatter(d.Fabric, jacobi.PlaneU, mirror); err != nil {
-		return err
-	}
-	engine.ChargeScatter(d.Fabric, d.Part.RefillWords(dre.Ranks, shrunk > 0, 1))
-	rs.Recoveries++
-	rs.DeadRanks += int64(len(dre.Ranks))
-	rs.SpareActivations += int64(spared)
-	rs.Shrinks += int64(shrunk)
-	rs.BuddyRestores++
-	rs.ResweptSweeps++ // one replayed V-cycle
-	return nil
-}
-
 // Run iterates distributed V-cycles until the combined fine-grid
 // residual drops below tolerance, then assembles the global field from
 // the owned slab planes. Permanent node deaths are recovered at cycle
-// granularity when the fault plan carries any (see recoverDead); the
-// result is bit-identical to the fault-free run, only the clocks grow.
+// granularity when the fault plan carries any: the loop restores the
+// cycle-boundary mirror and the interrupted cycle replays. The result
+// is bit-identical to the fault-free run, only the clocks grow.
 func (d *Distributed) Run() (*DistResult, error) {
 	res := &DistResult{}
-	armed := d.dc.Faults.HasPermanent()
-	maxRecoveries := 0
-	if d.dc.Faults != nil {
-		maxRecoveries = len(d.dc.Faults.Events)
+	var mirror *engine.Mirror
+	if d.dc.Faults.HasPermanent() {
+		mirror = engine.NewMirror(d.n, d.n, jacobi.PlaneU)
 	}
-	var mirror []float64
 	for res.VCycles < d.MaxCycles {
-		if armed {
-			if err := d.mirrorFine(&mirror); err != nil {
+		if mirror != nil {
+			if err := mirror.Take(d.Fabric, d.Part, res.VCycles, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -442,11 +384,13 @@ func (d *Distributed) Run() (*DistResult, error) {
 		worst, err := d.cycle()
 		if err != nil {
 			var dre *engine.DeadRankError
-			if !errors.As(err, &dre) || !armed || int(res.Recovery.Recoveries) >= maxRecoveries {
+			if !errors.As(err, &dre) || mirror == nil {
 				return nil, err
 			}
-			if rerr := d.recoverDead(dre, mirror, &res.Recovery); rerr != nil {
-				return nil, rerr
+			// The fault plan's firing counters persist across the
+			// rebuild, so the replay does not re-suffer the death.
+			if err := d.loop.Recover(dre, mirror, "buddy", 1, d.build); err != nil {
+				return nil, err
 			}
 			d.op = opStart // replay the interrupted cycle on the repaired ring
 			continue
@@ -459,16 +403,19 @@ func (d *Distributed) Run() (*DistResult, error) {
 			break
 		}
 	}
-	f := d.Fabric
-	if err := d.mirrorFine(&res.U); err != nil {
+	nn := d.n * d.n
+	res.U = make([]float64, d.n*nn)
+	copy(res.U[:nn], d.u0[:nn])
+	copy(res.U[(d.n-1)*nn:], d.u0[(d.n-1)*nn:])
+	if err := d.Part.Gather(d.Fabric, jacobi.PlaneU, res.U); err != nil {
 		return nil, err
 	}
-	for r := 0; r < f.P(); r++ {
-		nd := f.Node(r)
+	for _, nd := range d.loop.Nodes() {
 		res.TotalFLOPs += nd.Stats.FLOPs
 		res.PlanCache.Add(nd.PlanCacheStats())
 	}
 	res.Faults = d.loop.Stats()
+	res.Recovery = d.loop.Recovery()
 	if !res.Converged {
 		return res, fmt.Errorf("multigrid: no convergence in %d V-cycles (residual %g)", res.VCycles, res.Residual)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/microcode"
+	"repro/internal/sim"
 )
 
 // The distributed V-cycle must reproduce the single-node solver's
@@ -218,6 +219,49 @@ func TestDistributedPermanentKillRecovers(t *testing.T) {
 		if m1.MachineCycles != m.MachineCycles || m1.CommCycles != m.CommCycles {
 			t.Fatalf("spares=%d: recovered clocks differ across workers: %d/%d vs %d/%d",
 				spares, m1.MachineCycles, m1.CommCycles, m.MachineCycles, m.CommCycles)
+		}
+	}
+}
+
+// TestDistributedTotalsCountEveryBoard: the FLOP and plan-cache totals
+// of a recovered solve sum every board that ran work — the board that
+// died and, with a spare, its replacement — not just the live ring.
+func TestDistributedTotalsCountEveryBoard(t *testing.T) {
+	cfg := arch.Default()
+	for _, spares := range []int{0, 1} {
+		m, err := hypercube.New(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddSpares(spares); err != nil {
+			t.Fatal(err)
+		}
+		boards := slices.Concat(m.Nodes, m.Spares)
+		d, err := NewDistributed(DistConfig{
+			Fabric: m.Fabric(), Cfg: cfg,
+			N: 17, Levels: 3, Tol: 1e-6, MaxCycles: 100, Workers: 4,
+			Faults: engine.MustFaultPlan(engine.FaultEvent{
+				Sweep: 10, Phase: engine.PhaseDispatch, Rank: 1, Kind: engine.FaultKillForever}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Recovery.Recoveries != 1 {
+			t.Fatalf("spares=%d: recovery stats %s, want one recovery", spares, res.Recovery)
+		}
+		var flops int64
+		var plans sim.PlanCacheStats
+		for _, nd := range boards {
+			flops += nd.Stats.FLOPs
+			plans.Add(nd.PlanCacheStats())
+		}
+		if res.TotalFLOPs != flops || res.PlanCache != plans {
+			t.Errorf("spares=%d: totals %d FLOPs, plan cache %+v; the boards executed %d FLOPs, plan cache %+v",
+				spares, res.TotalFLOPs, res.PlanCache, flops, plans)
 		}
 	}
 }

@@ -98,7 +98,7 @@ func (n *Node) run(pl *ExecPlan) error {
 			wasted := int64(cfg.IssueOverheadCycles) + int64(tr.Cycle) + 1
 			n.Stats.Cycles += wasted
 			if tc.Policy == arch.TrapRetry && tr.Kind != TrapUnknownOp && attempt < rc.MaxRetries {
-				b := rc.Backoff(attempt)
+				b := arch.Backoff(rc.RetryBackoffCycles, rc.MaxBackoffCycles, attempt)
 				n.Stats.Cycles += b
 				n.TrapCounters.Retries++
 				n.TrapCounters.RetryCycles += wasted + b

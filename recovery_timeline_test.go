@@ -66,8 +66,9 @@ func timelineMultigrid(t *testing.T, plan *hypercube.FaultPlan, spares int) *obs
 // span timeline on tracer shard 0 is the accumulated simulated critical
 // path, so it must never run backwards across the recovery; and the
 // run's engine counters must be the fault-free run's plus exactly the
-// recovery's own: one more loop topology, the dead rank, and (Jacobi)
-// the recovery round, its mode and its state source.
+// recovery's own: one more loop topology, the dead rank, and the
+// recovery round, its mode and its state source — the same for both
+// solvers, which share the engine's recovery path.
 func TestRecoveryTimeline(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -82,8 +83,10 @@ func TestRecoveryTimeline(t *testing.T) {
 			"engine.recovery.recoveries": 1, "engine.recovery.spare": 1, "engine.recovery.source.buddy": 1}},
 		{"jacobi/shrink", timelineJacobi, 3, 0, map[string]int64{
 			"engine.recovery.recoveries": 1, "engine.recovery.shrink": 1, "engine.recovery.source.buddy": 1}},
-		{"multigrid/spare", timelineMultigrid, 10, 1, nil},
-		{"multigrid/shrink", timelineMultigrid, 10, 0, nil},
+		{"multigrid/spare", timelineMultigrid, 10, 1, map[string]int64{
+			"engine.recovery.recoveries": 1, "engine.recovery.spare": 1, "engine.recovery.source.buddy": 1}},
+		{"multigrid/shrink", timelineMultigrid, 10, 0, map[string]int64{
+			"engine.recovery.recoveries": 1, "engine.recovery.shrink": 1, "engine.recovery.source.buddy": 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
