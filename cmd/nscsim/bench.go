@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
@@ -47,7 +48,7 @@ func record(name string, r testing.BenchmarkResult, metrics map[string]float64) 
 // of the fault-free baseline.
 type benchOpts struct {
 	o          *obs.Obs
-	faults     *hypercube.FaultPlan
+	faults     *engine.FaultPlan
 	spares     int
 	buddyEvery int
 	topology   string // fabric name; empty means hypercube
@@ -153,7 +154,7 @@ func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 				}
 			}
 		})
-		pc := node.PlanCacheStats()
+		pc := node.Store().Stats()
 		out = append(out, record("plan-cache/warm-exec", r, map[string]float64{
 			"plan_hits":    float64(pc.Hits),
 			"plan_misses":  float64(pc.Misses),
@@ -307,10 +308,10 @@ func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 	// re-partition reports the simulated cycles the recovery cost over
 	// the clean baseline.
 	{
-		killPlan := func() *hypercube.FaultPlan {
-			return hypercube.MustFaultPlan(hypercube.FaultEvent{
-				Sweep: 6, Phase: hypercube.PhaseDispatch, Rank: 3,
-				Kind: hypercube.FaultKillForever,
+		killPlan := func() *engine.FaultPlan {
+			return engine.MustFaultPlan(engine.FaultEvent{
+				Sweep: 6, Phase: engine.PhaseDispatch, Rank: 3,
+				Kind: engine.FaultKillForever,
 			})
 		}
 		var cleanCycles int64
@@ -324,7 +325,7 @@ func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 			{"recovery-overhead/kill-shrink", func() benchOpts { return benchOpts{faults: killPlan()} }},
 		} {
 			var cycles, comm int64
-			var rec hypercube.RecoveryStats
+			var rec engine.RecoveryStats
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, m, err := benchSolve(cfg, mode.opts())

@@ -25,7 +25,7 @@
 // simulated comm clocks: grids and residual series are bit-identical
 // across fabrics. -sweeps fixes the sweep count (0 runs to
 // convergence). -faults arms a deterministic fault plan (see
-// hypercube.ParseFaultPlan for the syntax: either an event list like
+// engine.ParseFaultPlan for the syntax: either an event list like
 // "dispatch:kill@2:1:repeat=2" or "seed@S:sweeps=N:ranks=P:events=K"),
 // -checkpoint-every snapshots the solve at sweep boundaries,
 // -checkpoint persists the latest snapshot to a file, and -restore
@@ -256,13 +256,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "nscsim: -par %d: need at least one node\n", *par)
 		return 1
 	}
+	store, err := sim.NewStore(cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, "nscsim:", err)
+		return 1
+	}
 	nodes := make([]*sim.Node, *par)
 	for i := range nodes {
-		n, err := sim.NewNode(cfg)
-		if err != nil {
-			fmt.Fprintln(stderr, "nscsim:", err)
-			return 1
-		}
+		n := store.NewNode()
 		n.TrapCfg = trap
 		n.KernelOff = *noKernel
 		n.Obs = o
@@ -274,7 +275,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "nscsim:", err)
 		return 1
 	}
-	prog, err := microcode.ReadProgram(f, nodes[0].F)
+	prog, err := microcode.ReadProgram(f, store.F)
 	f.Close()
 	if err != nil {
 		fmt.Fprintln(stderr, "nscsim:", err)
@@ -330,7 +331,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "executed %d instruction(s), halted at pc %d\n", res.Executed, res.FinalPC)
 	fmt.Fprintf(stdout, "cycles %d (%.3f ms at %.0f MHz)  FLOPs %d  %.1f MFLOPS  interrupts %d  flags %016b\n",
 		st.Cycles, st.Seconds(cfg.ClockHz)*1e3, cfg.ClockHz/1e6, st.FLOPs, st.MFLOPS(cfg.ClockHz), len(node.IRQs), node.Flags)
-	pc := node.PlanCacheStats()
+	pc := store.Stats()
 	fmt.Fprintf(stdout, "plan cache: %d compiled, %d hits, %d misses (decode-once engine)\n",
 		pc.Entries, pc.Hits, pc.Misses)
 	if trap.Armed() || !res.Traps.Zero() {
@@ -373,6 +374,12 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 	if dim < 0 || dim > 10 {
 		return fmt.Errorf("hypercube: dimension %d out of range", dim)
 	}
+	// The model problem below is n×n×(2P+2); its stencil needs an
+	// interior, so reject a degenerate grid before building a machine.
+	if n < 3 {
+		return diag.Errorf(diag.RuleProgram, "-jacobi %d: grid %d×%d×%d too small (need n ≥ 3)",
+			n, n, n, 2<<uint(dim)+2)
+	}
 	t, err := topo.New(topology, 1<<uint(dim))
 	if err != nil {
 		return err
@@ -404,7 +411,7 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 		}
 	}
 	if faultSpec != "" || killSpec != "" {
-		plan, err := hypercube.ParseFaultPlan(faultSpec)
+		plan, err := engine.ParseFaultPlan(faultSpec)
 		if err != nil {
 			return err
 		}
@@ -423,12 +430,12 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 				if err != nil {
 					return fmt.Errorf("nscsim: -kill %q: rank %q is not an integer", tok, rk)
 				}
-				events = append(events, hypercube.FaultEvent{
-					Sweep: sweep, Phase: hypercube.PhaseDispatch, Rank: rank,
-					Kind: hypercube.FaultKillForever,
+				events = append(events, engine.FaultEvent{
+					Sweep: sweep, Phase: engine.PhaseDispatch, Rank: rank,
+					Kind: engine.FaultKillForever,
 				})
 			}
-			if plan, err = hypercube.NewFaultPlan(events...); err != nil {
+			if plan, err = engine.NewFaultPlan(events...); err != nil {
 				return err
 			}
 		}
@@ -483,7 +490,7 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 	fmt.Fprintf(stdout, "traps: %s\n", res.Traps)
 	// The recovery line appears only when the degraded-mode machinery is
 	// armed, so fault-free reports stay byte-identical to before.
-	if m.Faults.HasPermanent() || res.Recovery != (hypercube.RecoveryStats{}) {
+	if m.Faults.HasPermanent() || res.Recovery != (engine.RecoveryStats{}) {
 		lv := m.Liveness()
 		fmt.Fprintf(stdout, "recovery: %s; %d node(s) live, %d spare(s) used, %d free\n",
 			res.Recovery, lv.Live, lv.SparesUsed, lv.SparesFree)

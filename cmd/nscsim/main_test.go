@@ -140,13 +140,15 @@ func TestJacobiNegativeCounts(t *testing.T) {
 
 // TestJacobiFaultPointsOutOfRange pins the typed R040 rejection of a
 // fault aimed past a 4-node machine — a fifth rank, a fourth ring pair,
-// a third combine round — which could never fire: failure exit, no
-// solve line, one diagnostic naming the event.
+// a third combine round, an ECC event on a sixth rank — which could
+// never fire: failure exit, no solve line, one diagnostic naming the
+// event.
 func TestJacobiFaultPointsOutOfRange(t *testing.T) {
 	for _, tc := range []struct{ golden, flag, spec string }{
 		{"range-dispatch", "-kill", "1:9"},
 		{"range-exchange", "-faults", "exchange:kill@1:3"},
 		{"range-merge", "-faults", "merge:kill@1:7"},
+		{"range-ecc", "-ecc-faults", "5:0:1:single"},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			stdout, stderr, code := runCLI(t, "-jacobi", "8", "-cube", "2", tc.flag, tc.spec)
@@ -155,6 +157,41 @@ func TestJacobiFaultPointsOutOfRange(t *testing.T) {
 			}
 			checkGolden(t, tc.golden, stderr)
 		})
+	}
+}
+
+// TestJacobiECCSpecRejections: every malformed or out-of-range
+// -ecc-faults entry is a typed R040 rejection before any solve runs.
+func TestJacobiECCSpecRejections(t *testing.T) {
+	for _, spec := range []string{
+		"5:0:1:single",   // rank outside the machine
+		"x:0:1:single",   // non-integer rank
+		"1:99:1:single",  // plane out of range
+		"1:0:-1:single",  // negative address
+		"1:0:1:triple",   // unknown kind
+		"1:0:1",          // missing field
+		"1:0:1:single:x", // extra field
+	} {
+		stdout, stderr, code := runCLI(t, "-jacobi", "8", "-cube", "1", "-ecc-faults", spec)
+		if code != 1 || stdout != "" || !strings.HasSuffix(stderr, "[R040]\n") {
+			t.Errorf("spec %q: exit %d, stdout %q, stderr %q; want exit 1, no report, an R040 line",
+				spec, code, stdout, stderr)
+		}
+	}
+}
+
+// TestJacobiGridTooSmall pins the typed R038 rejection of a model
+// problem without an interior: it names the requested grid and fails
+// before any machine is built, so no banner is printed.
+func TestJacobiGridTooSmall(t *testing.T) {
+	stdout, stderr, code := runCLI(t, "-jacobi", "2", "-cube", "1")
+	if code != 1 || stdout != "" {
+		t.Errorf("exit %d, stdout %q; want exit 1 and no report", code, stdout)
+	}
+	checkGolden(t, "neg-grid", stderr)
+	stdout, stderr, code = runCLI(t, "-jacobi", "1")
+	if code != 1 || stdout != "" || !strings.HasSuffix(stderr, "[R038]\n") {
+		t.Errorf("-jacobi 1: exit %d, stdout %q, stderr %q; want exit 1 and an R038 line", code, stdout, stderr)
 	}
 }
 

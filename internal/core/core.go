@@ -15,6 +15,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/diagram"
 	"repro/internal/editor"
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/microcode"
 	"repro/internal/multigrid"
@@ -49,22 +50,18 @@ type Environment struct {
 	// Trap is the session's exception policy, applied to the node and
 	// to any cube (including ones built later) by SetTrapPolicy.
 	Trap arch.TrapConfig
-	// Obs is the session's observability layer, attached by SetObs to
-	// the pipeline, the single node (shard 0) and any cube (including
-	// ones built later). Nil keeps every instrumented path disabled.
+	// Obs is the session's observability layer, handed to every cube
+	// Hypercube builds. Nil keeps every instrumented path disabled.
 	Obs *obs.Obs
 }
 
 // New creates an environment for the given machine description.
 func New(cfg arch.Config) (*Environment, error) {
-	inv, err := arch.NewInventory(cfg)
-	if err != nil {
-		return nil, err
-	}
 	node, err := sim.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}
+	inv := node.Inv
 	pipe := pipeline.New(inv)
 	return &Environment{
 		Cfg:  cfg,
@@ -105,12 +102,6 @@ func (env *Environment) Generate() (*microcode.Program, *codegen.Report, error) 
 	return res.Prog, res.Rep, nil
 }
 
-// CompileCacheStats reports the session pipeline's content-addressed
-// compile cache counters, the front-end mirror of PlanCacheStats.
-func (env *Environment) CompileCacheStats() pipeline.CacheStats {
-	return env.Pipe.Cache.Stats()
-}
-
 // CheckCacheStats reports the editor's incremental check cache
 // counters: per-pipeline checks replayed versus re-run.
 func (env *Environment) CheckCacheStats() checker.CheckCacheStats {
@@ -122,11 +113,11 @@ func (env *Environment) Execute(p *microcode.Program, maxInstrs int64) (sim.RunR
 	return env.Node.Run(p, maxInstrs)
 }
 
-// PlanCacheStats reports the node's decoded-instruction cache
-// counters: how often Execute replayed a compiled pipeline
-// configuration instead of re-deriving it from the microcode word.
+// PlanCacheStats reports the node's plan-store counters: how often
+// Execute replayed a compiled pipeline configuration instead of
+// re-deriving it from the microcode word.
 func (env *Environment) PlanCacheStats() sim.PlanCacheStats {
-	return env.Node.PlanCacheStats()
+	return env.Node.Store().Stats()
 }
 
 // Hypercube returns the session's multi-node machine, building a
@@ -155,20 +146,6 @@ func (env *Environment) Hypercube(dim int) (*hypercube.Machine, error) {
 	m.Obs = env.Obs
 	env.Cube = m
 	return m, nil
-}
-
-// SetObs arms (or disarms) the unified observability layer for the
-// whole session: the compilation pipeline, the single node, and the
-// cube's nodes at the start of each multi-node solve.
-func (env *Environment) SetObs(o *obs.Obs) {
-	env.Obs = o
-	env.Pipe.Obs = o
-	env.Node.Obs = o
-	env.Node.ObsID = 0
-	if env.Cube != nil {
-		env.Cube.Obs = o
-		env.Cube.ArmObs()
-	}
 }
 
 // DistributedMultigrid runs a V-cycle solve for an n×n×n model problem
@@ -220,9 +197,9 @@ func (env *Environment) TrapStats() sim.TrapStats {
 // FaultStats reports the cumulative fault/recovery counters of the
 // session's multi-node machine (zero when no cube was ever built or no
 // faults were injected).
-func (env *Environment) FaultStats() hypercube.FaultStats {
+func (env *Environment) FaultStats() engine.FaultStats {
 	if env.Cube == nil {
-		return hypercube.FaultStats{}
+		return engine.FaultStats{}
 	}
 	return env.Cube.FaultCounters
 }

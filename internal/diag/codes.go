@@ -44,9 +44,12 @@ const (
 	RuleProgram = "R038"
 	// RuleDocIO marks a semantic document that failed to decode.
 	RuleDocIO = "R039"
-	// RuleFaultPlan marks a malformed -faults/-kill fault-plan spec:
-	// an unparseable token, a bad phase/kind/option, or duplicate
-	// events targeting the same (sweep, phase, rank).
+	// RuleFaultPlan marks a malformed -faults/-kill fault-plan spec —
+	// an unparseable token, a bad phase/kind/option, duplicate events
+	// targeting the same (sweep, phase, rank), or an event aimed past
+	// the machine — and every rejected -ecc-faults entry: a
+	// non-integer or out-of-range rank, a plane out of range, an
+	// address outside the plane, or an unknown kind.
 	RuleFaultPlan = "R040"
 	// RuleNegativeCount marks a negative solver count: a fixed sweep
 	// count, a hot-spare pool size or a checkpoint stride below zero.

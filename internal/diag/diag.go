@@ -123,16 +123,6 @@ func (ds Diagnostics) Errors() Diagnostics {
 	return es
 }
 
-// HasErrors reports whether any finding is an error.
-func (ds Diagnostics) HasErrors() bool {
-	for _, d := range ds {
-		if d.Severity == Error {
-			return true
-		}
-	}
-	return false
-}
-
 // Err returns the list as an error (nil when no finding is an error).
 func (ds Diagnostics) Err() error {
 	es := ds.Errors()

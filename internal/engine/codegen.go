@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"repro/internal/arch"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
 	"repro/internal/pipeline"
@@ -13,14 +12,12 @@ import (
 // forward (u→v) and backward (v→u) sweep instructions, and the slab
 // arrays load into the rank's node. Equal slabs have equal editor
 // scripts, so the pipeline's compile cache builds and compiles each
-// distinct slab once. Ranks fan out across the worker pool.
-func CompileSweeps(cfg arch.Config, workers int, locals []*jacobi.Problem,
+// distinct slab once. Ranks fan out across the worker pool. The
+// pipeline compiles for rank 0's machine description, which every
+// board of a machine shares.
+func CompileSweeps(workers int, locals []*jacobi.Problem,
 	nodeOf func(rank int) *sim.Node) (fwd, bwd []*microcode.Instr, err error) {
-	inv, err := arch.NewInventory(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return compileSweeps(pipeline.New(inv), workers, locals, nodeOf)
+	return compileSweeps(pipeline.New(nodeOf(0).Inv), workers, locals, nodeOf)
 }
 
 func compileSweeps(pl *pipeline.Pipeline, workers int, locals []*jacobi.Problem,

@@ -47,7 +47,7 @@ func TestCompileSweepsMatchesPerRankCodegen(t *testing.T) {
 	cfg := arch.Default()
 	for _, tc := range []struct{ p, n, nz int }{{64, 16, 130}, {8, 33, 33}} {
 		locals, nodes := slabLocals(t, cfg, tc.p, tc.n, tc.nz)
-		fwd, bwd, err := CompileSweeps(cfg, 2, locals, func(r int) *sim.Node { return nodes[r] })
+		fwd, bwd, err := CompileSweeps(2, locals, func(r int) *sim.Node { return nodes[r] })
 		if err != nil {
 			t.Fatal(err)
 		}

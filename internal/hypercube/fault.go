@@ -2,70 +2,29 @@ package hypercube
 
 import "repro/internal/engine"
 
-// The fault-injection machinery moved to internal/engine, the
-// scheme-agnostic solver runtime (PR 4); these aliases keep the
-// hypercube API — and the checkpoint binary format, whose header
-// embeds FaultStats — exactly as before.
+// The fault-injection machinery lives in internal/engine, and every
+// caller in this module names it there. These seven aliases remain
+// only because the benchmark module (perfbench/) imports them from
+// this package.
 
-// Fault types, re-exported from the engine.
 type (
-	FaultKind     = engine.FaultKind
-	Phase         = engine.Phase
-	FaultEvent    = engine.FaultEvent
-	FaultPlan     = engine.FaultPlan
-	RetryPolicy   = engine.RetryPolicy
-	BudgetError   = engine.BudgetError
-	FaultStats    = engine.FaultStats
-	DeadRankError = engine.DeadRankError
-	RecoveryStats = engine.RecoveryStats
+	FaultKind  = engine.FaultKind
+	FaultEvent = engine.FaultEvent
+	FaultPlan  = engine.FaultPlan
 )
 
-// Fault kinds.
 const (
-	FaultKill        = engine.FaultKill
-	FaultCorrupt     = engine.FaultCorrupt
-	FaultStall       = engine.FaultStall
 	FaultKillForever = engine.FaultKillForever
+	PhaseDispatch    = engine.PhaseDispatch
 )
-
-// Sweep phases.
-const (
-	PhaseDispatch = engine.PhaseDispatch
-	PhaseExchange = engine.PhaseExchange
-	PhaseMerge    = engine.PhaseMerge
-)
-
-// DefaultRetryPolicy is the policy used when RetryPolicy fields are
-// zero: three attempts, 64-cycle base backoff capped at 4096, four
-// restores.
-var DefaultRetryPolicy = engine.DefaultRetryPolicy
 
 // NewFaultPlan validates the events and returns a plan.
 func NewFaultPlan(events ...FaultEvent) (*FaultPlan, error) {
 	return engine.NewFaultPlan(events...)
 }
 
-// MustFaultPlan is NewFaultPlan for known-good plans.
-func MustFaultPlan(events ...FaultEvent) *FaultPlan {
-	return engine.MustFaultPlan(events...)
-}
-
 // RandomFaultPlan derives a plan of n transient kill faults from its
 // own seeded generator; the same seed always yields the same plan.
 func RandomFaultPlan(seed int64, sweeps, ranks, n int) *FaultPlan {
 	return engine.RandomFaultPlan(seed, sweeps, ranks, n)
-}
-
-// RandomChaosPlan derives a seeded plan mixing transient kills,
-// corruptions and stalls across all phases — the chaos-smoke
-// workload. Deterministic per seed; permanent kills are never
-// generated (chaos tests add their own).
-func RandomChaosPlan(seed int64, sweeps, ranks, n int) *FaultPlan {
-	return engine.RandomChaosPlan(seed, sweeps, ranks, n)
-}
-
-// ParseFaultPlan parses the nscsim -faults syntax (see
-// engine.ParseFaultPlan for the grammar).
-func ParseFaultPlan(spec string) (*FaultPlan, error) {
-	return engine.ParseFaultPlan(spec)
 }

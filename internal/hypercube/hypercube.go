@@ -60,16 +60,17 @@ type Machine struct {
 	// per-node work in SolveJacobi: 0 or 1 runs sequentially, larger
 	// values run up to that many node sweeps concurrently, and -1 uses
 	// GOMAXPROCS. Simulated results are bit-identical at every setting:
-	// nodes share no mutable simulator state, and all cycle/FLOP
-	// accounting is merged in rank order after each barrier.
+	// nodes share only the machine's plan store, whose plans are
+	// read-only and whose counters do not depend on scheduling, and all
+	// cycle/FLOP accounting is merged in rank order after each barrier.
 	Workers int
 
 	// Faults, when non-nil, injects the plan's deterministic faults
 	// into SolveJacobi. Nil (the default) keeps the solve loop on the
 	// exact fault-free path: no extra simulated cycles, no counters.
-	Faults *FaultPlan
-	// Retry bounds fault recovery; zero fields take DefaultRetryPolicy.
-	Retry RetryPolicy
+	Faults *engine.FaultPlan
+	// Retry bounds fault recovery; zero fields take the engine default.
+	Retry engine.RetryPolicy
 	// CheckpointEvery, when positive, snapshots the solve at every
 	// sweep boundary divisible by it (sweep 0 included, so a restore
 	// point always exists once the solve starts).
@@ -86,7 +87,7 @@ type Machine struct {
 	Restore *Checkpoint
 	// FaultCounters accumulates fault/recovery counters across
 	// completed solves on this machine.
-	FaultCounters FaultStats
+	FaultCounters engine.FaultStats
 
 	// Trap is the node-level exception policy, applied to every node at
 	// the start of each solve. The zero value (policy off) keeps the
@@ -134,7 +135,7 @@ type Machine struct {
 	// neighbours (the engine's exchange accounting absorbs that).
 	ring     []*sim.Node
 	ringAddr []int
-	// activated lists spares wired in by recovery (their FLOP, cache and
+	// activated lists spares wired in by recovery (their FLOP and
 	// trap counters join the per-solve aggregations); deadAddrs the
 	// hypercube addresses of the boards lost.
 	activated []*sim.Node
@@ -166,13 +167,13 @@ func NewWithTopology(cfg arch.Config, t topo.Topology) (*Machine, error) {
 	if p < 1 || p > 1<<10 {
 		return nil, fmt.Errorf("hypercube: %s node count %d out of range", t.Name(), p)
 	}
+	st, err := sim.NewStore(cfg)
+	if err != nil {
+		return nil, err
+	}
 	m := &Machine{Cfg: cfg, Dim: ringDim(p), Topo: t}
 	for i := 0; i < p; i++ {
-		n, err := sim.NewNode(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.Nodes = append(m.Nodes, n)
+		m.Nodes = append(m.Nodes, st.NewNode())
 	}
 	m.ring = make([]*sim.Node, p)
 	m.ringAddr = make([]int, p)
@@ -189,17 +190,13 @@ func NewWithTopology(cfg arch.Config, t topo.Topology) (*Machine, error) {
 	return m, nil
 }
 
+// store returns the machine's one plan store: every board and spare
+// is built over it.
+func (m *Machine) store() *sim.Store { return m.Nodes[0].Store() }
+
 // P returns the live rank count: the constructed node count until a
 // permanent node loss shrinks the ring.
 func (m *Machine) P() int { return len(m.ring) }
-
-// checkRank validates a live ring rank.
-func (m *Machine) checkRank(what string, r int) error {
-	if r < 0 || r >= m.P() {
-		return fmt.Errorf("hypercube: %s node %d outside %d nodes", what, r, m.P())
-	}
-	return nil
-}
 
 // checkNode validates a physical hypercube address.
 func (m *Machine) checkNode(what string, r int) error {
@@ -355,15 +352,15 @@ type JacobiResult struct {
 	// TotalFLOPs across all nodes.
 	TotalFLOPs int64
 	GFLOPS     float64
-	// PlanCache aggregates the nodes' decoded-instruction cache
-	// counters: with the decode-once engine each node compiles its two
-	// sweep instructions exactly once however many iterations run. A
-	// run restored from a checkpoint carries the snapshot's counters
+	// PlanCache reports the machine's plan store: every board replays
+	// the store's plans, so a uniform solve compiles its two sweep
+	// instructions exactly once however many boards and iterations run.
+	// A run restored from a checkpoint carries the snapshot's counters
 	// forward.
 	PlanCache sim.PlanCacheStats
 	// Faults counts injected faults and the recovery work they caused;
 	// all-zero on fault-free runs.
-	Faults FaultStats
+	Faults engine.FaultStats
 	// Traps aggregates the nodes' exception counters in rank order
 	// (plus any counters carried in from a restored checkpoint), so
 	// parallel runs report identical totals.
@@ -383,7 +380,7 @@ type JacobiResult struct {
 // engine's phases (see jacobiSolve.run).
 //
 // When a FaultPlan is armed, faulted operations retry under the
-// machine's RetryPolicy; a retry budget that exhausts rolls the solve
+// machine's Retry policy; a retry budget that exhausts rolls the solve
 // back to LastCheckpoint (when one exists and MaxRestores allows)
 // instead of failing. A permanent kill (FaultKillForever) instead
 // triggers degraded-mode recovery: the dead slot is refilled from the
@@ -464,10 +461,10 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 		return nil, err
 	}
 	res.PlanCache = s.pcBase
+	res.PlanCache.Add(m.store().Stats())
 	res.Traps = s.trapBase
 	for _, nd := range m.participants() {
 		res.TotalFLOPs += nd.Stats.FLOPs
-		res.PlanCache.Add(nd.PlanCacheStats())
 		res.Traps.Add(nd.TrapCounters)
 	}
 	faults := s.faults()
@@ -488,7 +485,7 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 
 // participants returns every board that has run work for this machine:
 // the constructed nodes plus any activated spares. Counter
-// aggregations (FLOPs, plan cache, traps) run over this set so a dead
+// aggregations (FLOPs, traps) run over this set so a dead
 // board's pre-death work and a spare's post-activation work are both
 // reported.
 func (m *Machine) participants() []*sim.Node {
@@ -516,7 +513,7 @@ func (m *Machine) corruptNode(nd *sim.Node, plane int, addr int64, count int) er
 // counters. An uneven partition (the shape a shrink leaves behind)
 // records its per-rank plane counts and serializes as version 3.
 func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Problem,
-	series []float64, faults FaultStats, pcBase sim.PlanCacheStats, trapBase sim.TrapStats) (*Checkpoint, error) {
+	series []float64, faults engine.FaultStats, pcBase sim.PlanCacheStats, trapBase sim.TrapStats) (*Checkpoint, error) {
 	ck := &Checkpoint{
 		Sweep: it, P: part.P, N: global.N, Nz: global.Nz,
 		Topology:      m.Topo.Name(),
@@ -545,9 +542,9 @@ func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Proble
 		ck.U = append(ck.U, u)
 		ck.V = append(ck.V, v)
 	}
+	ck.PlanCache.Add(m.store().Stats())
 	ck.Traps = trapBase
 	for _, nd := range m.participants() {
-		ck.PlanCache.Add(nd.PlanCacheStats())
 		ck.Traps.Add(nd.TrapCounters)
 	}
 	return ck, nil
@@ -597,10 +594,11 @@ func (m *Machine) applyCheckpoint(ck *Checkpoint) error {
 	return nil
 }
 
-// InjectECC arms seeded memory-plane ECC events on ring rank r.
+// InjectECC arms seeded memory-plane ECC events on ring rank r. Every
+// rejection is a typed fault-plan diagnostic (R040).
 func (m *Machine) InjectECC(r int, faults ...sim.ECCFault) error {
-	if err := m.checkRank("ECC fault", r); err != nil {
-		return err
+	if r < 0 || r >= m.P() {
+		return diag.Errorf(diag.RuleFaultPlan, "hypercube: ECC fault node %d outside %d nodes", r, m.P())
 	}
 	return m.ring[r].InjectECC(faults...)
 }
@@ -613,7 +611,8 @@ type RankECCFault struct {
 }
 
 // ParseRankECCFaults parses the nscsim -ecc-faults syntax: a
-// comma-separated list of "rank:plane:addr:single|double".
+// comma-separated list of "rank:plane:addr:single|double". Errors are
+// typed fault-plan diagnostics (R040).
 func ParseRankECCFaults(spec string) ([]RankECCFault, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -622,17 +621,17 @@ func ParseRankECCFaults(spec string) ([]RankECCFault, error) {
 	var out []RankECCFault
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
-		i := strings.Index(tok, ":")
-		if i < 0 {
-			return nil, fmt.Errorf("hypercube: ECC fault %q: want rank:plane:addr:single|double", tok)
+		rk, rest, ok := strings.Cut(tok, ":")
+		if !ok || strings.TrimSpace(rest) == "" {
+			return nil, diag.Errorf(diag.RuleFaultPlan, "hypercube: ECC fault %q: want rank:plane:addr:single|double", tok)
 		}
-		rank, err := strconv.Atoi(tok[:i])
+		rank, err := strconv.Atoi(rk)
 		if err != nil {
-			return nil, fmt.Errorf("hypercube: ECC fault rank %q: %w", tok[:i], err)
+			return nil, diag.Errorf(diag.RuleFaultPlan, "hypercube: ECC fault rank %q: %w", rk, err)
 		}
-		fs, err := sim.ParseECCFaults(tok[i+1:])
-		if err != nil || len(fs) != 1 {
-			return nil, fmt.Errorf("hypercube: ECC fault %q: want rank:plane:addr:single|double", tok)
+		fs, err := sim.ParseECCFaults(rest)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, RankECCFault{Rank: rank, Fault: fs[0]})
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/jacobi"
+	"repro/internal/sim"
 )
 
 // parallelProblem builds an 8×8×(8·2^dim + 2) model problem whose
@@ -83,26 +84,58 @@ func TestSolveJacobiParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSolveJacobiPlanCacheAggregation: each node decodes the sweep
-// instruction once and replays it every iteration; the result's cache
-// counters aggregate over all nodes.
+// TestSolveJacobiPlanCacheAggregation: the boards of a machine share
+// one plan store, so a uniform 4-node solve compiles exactly its two
+// distinct sweep instructions however many boards run them, every
+// other dispatch is a hit, and the totals are the same at every worker
+// count.
 func TestSolveJacobiPlanCacheAggregation(t *testing.T) {
-	m, err := New(smallCfg(), 2) // 4 nodes
-	if err != nil {
-		t.Fatal(err)
+	var first sim.PlanCacheStats
+	for _, workers := range []int{1, 4} {
+		m, err := New(smallCfg(), 2) // 4 nodes
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Workers = workers
+		res, err := m.SolveJacobi(parallelProblem(m.P()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := res.PlanCache
+		var dispatched int64
+		for _, nd := range m.Nodes {
+			dispatched += nd.Stats.Instructions
+		}
+		if pc.Misses != 2 || pc.Entries != 2 || pc.Hits+pc.Misses != dispatched {
+			t.Errorf("workers=%d: %+v over %d dispatches, want 2 misses, 2 entries, the rest hits",
+				workers, pc, dispatched)
+		}
+		if workers == 1 {
+			first = pc
+		} else if pc != first {
+			t.Errorf("workers=%d: %+v, workers=1: %+v", workers, pc, first)
+		}
 	}
-	m.Workers = -1
-	res, err := m.SolveJacobi(parallelProblem(m.P()))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSparesShareMachineStore: the boards and spares of one machine are
+// built over one store — one Inventory, one Format, one plan table — so
+// a spare that takes over a dead slot replays the plans its predecessor
+// compiled, and a kill-spare run compiles no more plans than the
+// fault-free run of the same problem.
+func TestSparesShareMachineStore(t *testing.T) {
+	clean, _ := recoverySolve(t, 2, 1, 0, 0, nil)
+	res, m := recoverySolve(t, 2, 1, 1, 0, killPlan(t, [2]int{3, 1}))
+	if res.Recovery.SpareActivations != 1 || len(m.activated) != 1 {
+		t.Fatalf("recovery %s, want one spare activated", res.Recovery)
 	}
-	pc := res.PlanCache
-	if pc.Misses != int64(pc.Entries) {
-		t.Errorf("misses %d != compiled plans %d", pc.Misses, pc.Entries)
+	boards := append(append([]*sim.Node(nil), m.Nodes...), m.activated...)
+	for i, nd := range boards {
+		if nd.Store() != m.Nodes[0].Store() || nd.Inv != m.Nodes[0].Inv || nd.F != m.Nodes[0].F {
+			t.Errorf("board %d does not share the machine's store, Inventory and Format", i)
+		}
 	}
-	// One sweep instruction per node, replayed every iteration after
-	// the first: hits dominate misses for any multi-iteration solve.
-	if res.Iterations > 1 && pc.Hits <= pc.Misses {
-		t.Errorf("plan cache not reused: %+v over %d iterations", pc, res.Iterations)
+	if res.PlanCache.Misses > clean.PlanCache.Misses || res.PlanCache.Entries > clean.PlanCache.Entries {
+		t.Errorf("kill-spare run compiled %+v, fault-free run %+v", res.PlanCache, clean.PlanCache)
 	}
 }

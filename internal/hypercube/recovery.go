@@ -8,7 +8,6 @@ import (
 	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/jacobi"
-	"repro/internal/sim"
 )
 
 // Degraded-mode recovery: the machine half of surviving permanent node
@@ -24,18 +23,16 @@ import (
 // survivor count.
 
 // AddSpares provisions n cold standby boards for degraded-mode
-// recovery. Spares are idle until a permanent kill fires: they cost no
-// simulated cycles and join no aggregation before activation.
+// recovery, built over the machine's plan store so an activated spare
+// replays the plans its predecessor compiled. Spares are idle until a
+// permanent kill fires: they cost no simulated cycles and join no
+// aggregation before activation.
 func (m *Machine) AddSpares(n int) error {
 	if n < 0 {
 		return diag.Errorf(diag.RuleNegativeCount, "hypercube: spare count %d is negative", n)
 	}
 	for i := 0; i < n; i++ {
-		nd, err := sim.NewNode(m.Cfg)
-		if err != nil {
-			return err
-		}
-		m.Spares = append(m.Spares, nd)
+		m.Spares = append(m.Spares, m.store().NewNode())
 	}
 	return nil
 }

@@ -29,10 +29,10 @@ type jacobiSolve struct {
 	// and restores the solve made (the loop counts the faults and the
 	// recoveries).
 	series []float64
-	own    FaultStats
+	own    engine.FaultStats
 
 	// Restore bases (from m.Restore), added to the live counters.
-	base     FaultStats
+	base     engine.FaultStats
 	pcBase   sim.PlanCacheStats
 	trapBase sim.TrapStats
 }
@@ -50,7 +50,7 @@ func (s *jacobiSolve) build(part *engine.Partition) error {
 			return err
 		}
 	}
-	fwd, bwd, err := engine.CompileSweeps(m.Cfg, m.Workers, locals, m.Fabric().Node)
+	fwd, bwd, err := engine.CompileSweeps(m.Workers, locals, m.Fabric().Node)
 	if err != nil {
 		return err
 	}
@@ -77,7 +77,7 @@ func (s *jacobiSolve) buddyEvery() int {
 
 // faults returns the solve's fault counters so far, without the restore
 // base: the loop's, plus the solve's own checkpoints and restores.
-func (s *jacobiSolve) faults() FaultStats {
+func (s *jacobiSolve) faults() engine.FaultStats {
 	f := s.lp.Stats()
 	f.Add(s.own)
 	return f

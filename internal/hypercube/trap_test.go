@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 	"repro/internal/jacobi"
 	"repro/internal/sim"
 )
@@ -119,8 +120,11 @@ func TestInjectECCChecksRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.InjectECC(5, sim.ECCFault{}); err == nil {
-		t.Error("rank 5 accepted on a 2-node machine")
+	if err := m.InjectECC(5, sim.ECCFault{}); diag.AsDiagnostic(err, "").Rule != diag.RuleFaultPlan {
+		t.Errorf("rank 5 on a 2-node machine: %v, want an %s rejection", err, diag.RuleFaultPlan)
+	}
+	if err := m.InjectECC(1, sim.ECCFault{Plane: 99}); diag.AsDiagnostic(err, "").Rule != diag.RuleFaultPlan {
+		t.Errorf("plane 99: %v, want an %s rejection", err, diag.RuleFaultPlan)
 	}
 }
 
@@ -137,9 +141,12 @@ func TestParseRankECCFaults(t *testing.T) {
 	if fs, err := ParseRankECCFaults("  "); err != nil || fs != nil {
 		t.Errorf("blank spec = %v, %v", fs, err)
 	}
-	for _, bad := range []string{"1", "1:0:70", "x:0:70:double", "1:0:70:triple", "1:0:70:double:extra"} {
-		if _, err := ParseRankECCFaults(bad); err == nil {
+	for _, bad := range []string{"1", "1:", "1:0:70", "x:0:70:double", "1:0:70:triple", "1:0:70:double:extra", "1:x:70:single"} {
+		_, err := ParseRankECCFaults(bad)
+		if err == nil {
 			t.Errorf("spec %q accepted", bad)
+		} else if de := diag.AsDiagnostic(err, ""); de.Rule != diag.RuleFaultPlan {
+			t.Errorf("spec %q: %v is not an %s diagnostic", bad, err, diag.RuleFaultPlan)
 		}
 	}
 }

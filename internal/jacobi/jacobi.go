@@ -308,9 +308,9 @@ type Result struct {
 	MFLOPS     float64
 	// FillCycles is the pipeline depth reported by the generator.
 	FillCycles int
-	// PlanCache reports the node's decoded-instruction cache: the
-	// ping-pong solver dispatches two distinct sweep instructions
-	// hundreds of times, so Hits ≈ Iterations − Misses.
+	// PlanCache reports the node's plan store: the ping-pong solver
+	// dispatches two distinct sweep instructions hundreds of times, so
+	// Hits ≈ Iterations − Misses.
 	PlanCache sim.PlanCacheStats
 	// Traps counts the exception/interrupt events raised during the
 	// run (all zero when Problem.Trap leaves detection off).
@@ -332,19 +332,15 @@ func (p *Problem) Load(n *sim.Node) error {
 // editor, check them, generate microcode, load the node, execute until
 // the convergence interrupt, and read the solution back.
 func (p *Problem) Run(cfg arch.Config) (*Result, error) {
-	inv, err := arch.NewInventory(cfg)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := p.Compile(pipeline.New(inv))
-	if err != nil {
-		return nil, err
-	}
-	prog, rep := comp.Prog, comp.Rep
 	node, err := sim.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}
+	comp, err := p.Compile(pipeline.New(node.Inv))
+	if err != nil {
+		return nil, err
+	}
+	prog, rep := comp.Prog, comp.Rep
 	if err := p.Load(node); err != nil {
 		return nil, err
 	}
@@ -354,12 +350,12 @@ func (p *Problem) Run(cfg arch.Config) (*Result, error) {
 		// Surface the counters gathered before the abort — a trap
 		// error's context (events quieted, retries priced) is exactly
 		// what the caller needs to report.
-		return &Result{Stats: node.Stats, PlanCache: node.PlanCacheStats(),
+		return &Result{Stats: node.Stats, PlanCache: node.Store().Stats(),
 			Traps: res.Traps}, err
 	}
 
 	out := &Result{Stats: node.Stats, MFLOPS: node.Stats.MFLOPS(cfg.ClockHz),
-		PlanCache: node.PlanCacheStats(), Traps: res.Traps}
+		PlanCache: node.Store().Stats(), Traps: res.Traps}
 	for _, pi := range rep.Pipes {
 		if pi.FillCycles > out.FillCycles {
 			out.FillCycles = pi.FillCycles

@@ -226,19 +226,15 @@ func (p *Problem) SubsetRun(cfg arch.Config) (*Result, error) {
 	if err := p.SubsetValidate(cfg); err != nil {
 		return nil, err
 	}
-	inv, err := arch.NewInventory(cfg)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := pipeline.New(inv).CompileScript(p.SubsetScript())
-	if err != nil {
-		return nil, fmt.Errorf("jacobi: subset: %w", err)
-	}
-	prog, rep := comp.Prog, comp.Rep
 	node, err := sim.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}
+	comp, err := pipeline.New(node.Inv).CompileScript(p.SubsetScript())
+	if err != nil {
+		return nil, fmt.Errorf("jacobi: subset: %w", err)
+	}
+	prog, rep := comp.Prog, comp.Rep
 	if err := p.SubsetLoad(node); err != nil {
 		return nil, err
 	}
@@ -247,7 +243,7 @@ func (p *Problem) SubsetRun(cfg arch.Config) (*Result, error) {
 		return nil, err
 	}
 	out := &Result{Stats: node.Stats, MFLOPS: node.Stats.MFLOPS(cfg.ClockHz),
-		PlanCache: node.PlanCacheStats()}
+		PlanCache: node.Store().Stats()}
 	for _, pi := range rep.Pipes {
 		if pi.FillCycles > out.FillCycles {
 			out.FillCycles = pi.FillCycles

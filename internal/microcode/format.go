@@ -264,10 +264,6 @@ func (f *Format) FieldByName(name string) (Field, bool) {
 // (the paper: "encoded in dozens of separate fields").
 func (f *Format) NumFields() int { return len(f.Fields) }
 
-// NoneSource is the reserved switch-selection value meaning "sink not
-// driven".
-func (f *Format) NoneSource() uint64 { return f.noneSource }
-
 // FieldGroups summarizes the format hierarchically: group prefix →
 // total bits. Groups follow the hardware hierarchy (switch, per-FU,
 // constants, per-plane DMA, SDUs, sequencer).

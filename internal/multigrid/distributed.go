@@ -103,8 +103,10 @@ type DistResult struct {
 	Residual       float64
 	Converged      bool
 	ResidualSeries []float64
-	// TotalFLOPs and PlanCache sum every board that ran work, boards
-	// lost to a recovery included.
+	// TotalFLOPs sums every board that ran work, boards lost to a
+	// recovery included. PlanCache reports the plan store the fabric's
+	// boards share (hypercube.Machine builds them over one), coarse
+	// chain included.
 	TotalFLOPs int64
 	PlanCache  sim.PlanCacheStats
 	// Faults counts injected faults and the retries they caused;
@@ -183,12 +185,9 @@ func (d *Distributed) build(part *engine.Partition) error {
 	}
 	// Compile and load every rank's slab pipelines concurrently: each
 	// rank touches only its own node and level, and equal slabs share
-	// one compile through the pipeline's cache.
-	inv, err := arch.NewInventory(dc.Cfg)
-	if err != nil {
-		return err
-	}
-	pl := pipeline.New(inv)
+	// one compile through the pipeline's cache, for the machine
+	// description the boards share.
+	pl := pipeline.New(dc.Fabric.Node(0).Inv)
 	if err := engine.ParallelFor(dc.Workers, p, func(r int) error {
 		nd := dc.Fabric.Node(r)
 		lv := d.slabs[r]
@@ -211,10 +210,11 @@ func (d *Distributed) build(part *engine.Partition) error {
 		// The coarse chain lives behind rank 0's slab storage, strided
 		// by the same rule the single-node hierarchy uses.
 		base := int64(2*d.slabs[0].P.Cells() + 2*n*n)
-		d.coarse, err = NewOnNode(dc.Cfg, dc.Fabric.Node(0), nc, dc.Levels-1, dc.Tol, dc.MaxCycles, base)
+		coarse, err := NewOnNode(dc.Cfg, dc.Fabric.Node(0), nc, dc.Levels-1, dc.Tol, dc.MaxCycles, base)
 		if err != nil {
 			return err
 		}
+		d.coarse = coarse
 		d.zeroU = make([]float64, d.coarse.Levels[0].P.Cells())
 	}
 	return nil
@@ -412,8 +412,8 @@ func (d *Distributed) Run() (*DistResult, error) {
 	}
 	for _, nd := range d.loop.Nodes() {
 		res.TotalFLOPs += nd.Stats.FLOPs
-		res.PlanCache.Add(nd.PlanCacheStats())
 	}
+	res.PlanCache = d.Fabric.Node(0).Store().Stats()
 	res.Faults = d.loop.Stats()
 	res.Recovery = d.loop.Recovery()
 	if !res.Converged {

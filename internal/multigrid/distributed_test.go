@@ -13,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/microcode"
-	"repro/internal/sim"
 )
 
 // The distributed V-cycle must reproduce the single-node solver's
@@ -223,9 +222,10 @@ func TestDistributedPermanentKillRecovers(t *testing.T) {
 	}
 }
 
-// TestDistributedTotalsCountEveryBoard: the FLOP and plan-cache totals
-// of a recovered solve sum every board that ran work — the board that
-// died and, with a spare, its replacement — not just the live ring.
+// TestDistributedTotalsCountEveryBoard: the FLOP total of a recovered
+// solve sums every board that ran work — the board that died and, with
+// a spare, its replacement — not just the live ring, and the plan-cache
+// total is the plan store all of those boards share.
 func TestDistributedTotalsCountEveryBoard(t *testing.T) {
 	cfg := arch.Default()
 	for _, spares := range []int{0, 1} {
@@ -254,13 +254,15 @@ func TestDistributedTotalsCountEveryBoard(t *testing.T) {
 			t.Fatalf("spares=%d: recovery stats %s, want one recovery", spares, res.Recovery)
 		}
 		var flops int64
-		var plans sim.PlanCacheStats
+		plans := m.Nodes[0].Store().Stats()
 		for _, nd := range boards {
 			flops += nd.Stats.FLOPs
-			plans.Add(nd.PlanCacheStats())
+			if nd.Store() != m.Nodes[0].Store() {
+				t.Fatalf("spares=%d: a board is not built over the machine's plan store", spares)
+			}
 		}
 		if res.TotalFLOPs != flops || res.PlanCache != plans {
-			t.Errorf("spares=%d: totals %d FLOPs, plan cache %+v; the boards executed %d FLOPs, plan cache %+v",
+			t.Errorf("spares=%d: totals %d FLOPs, plan cache %+v; the boards executed %d FLOPs, store holds %+v",
 				spares, res.TotalFLOPs, res.PlanCache, flops, plans)
 		}
 	}

@@ -116,10 +116,10 @@ type Result struct {
 	// Converged reports the NSC residual flag.
 	Converged bool
 	Stats     sim.Stats
-	// PlanCache reports the node's decoded-instruction cache. A
-	// V-cycle replays each level's smoother/residual/correct pipelines
-	// every cycle, so the decode-once engine compiles each distinct
-	// instruction exactly once per solve.
+	// PlanCache reports the node's plan store. A V-cycle replays each
+	// level's smoother/residual/correct pipelines every cycle, so the
+	// decode-once engine compiles each distinct instruction exactly once
+	// per solve.
 	PlanCache sim.PlanCacheStats
 	// Checkpoints counts V-cycle boundary snapshots taken.
 	Checkpoints int
@@ -422,7 +422,7 @@ func (s *Solver) Run() (*Result, error) {
 	}
 	res.U = u
 	res.Stats = s.Node.Stats
-	res.PlanCache = s.Node.PlanCacheStats()
+	res.PlanCache = s.Node.Store().Stats()
 	res.Traps = s.Node.TrapCounters.Sub(trapBase)
 	if !res.Converged {
 		return res, fmt.Errorf("multigrid: no convergence in %d V-cycles (residual %g)", res.VCycles, res.Residual)

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/jacobi"
 	"repro/internal/multigrid"
@@ -286,7 +287,7 @@ func Scenarios() []Scenario {
 			Name: "jacobi/faulted",
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignature(workers, func(m *hypercube.Machine) error {
-					plan, err := hypercube.ParseFaultPlan(
+					plan, err := engine.ParseFaultPlan(
 						"dispatch:kill@2:1:repeat=2,exchange:stall@3:0:stall=500")
 					if err != nil {
 						return err
@@ -319,9 +320,9 @@ func Scenarios() []Scenario {
 			Name: "jacobi/degraded-spare",
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignature(workers, func(m *hypercube.Machine) error {
-					m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-						Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 1,
-						Kind: hypercube.FaultKillForever,
+					m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+						Sweep: 3, Phase: engine.PhaseDispatch, Rank: 1,
+						Kind: engine.FaultKillForever,
 					})
 					return m.AddSpares(1)
 				})
@@ -333,9 +334,9 @@ func Scenarios() []Scenario {
 			Name: "jacobi/degraded-shrink",
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignature(workers, func(m *hypercube.Machine) error {
-					m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-						Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 2,
-						Kind: hypercube.FaultKillForever,
+					m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+						Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2,
+						Kind: engine.FaultKillForever,
 					})
 					return nil
 				})
@@ -405,9 +406,9 @@ func Scenarios() []Scenario {
 					MaxCycles: 100,
 					Workers:   workers,
 					Obs:       o,
-					Faults: hypercube.MustFaultPlan(hypercube.FaultEvent{
-						Sweep: 9, Phase: hypercube.PhaseDispatch, Rank: 1,
-						Kind: hypercube.FaultKillForever,
+					Faults: engine.MustFaultPlan(engine.FaultEvent{
+						Sweep: 9, Phase: engine.PhaseDispatch, Rank: 1,
+						Kind: engine.FaultKillForever,
 					}),
 				})
 				if err != nil {
@@ -503,9 +504,9 @@ func KernelBattery(topology string) []Scenario {
 			// must inherit the kernel pin.
 			Name: "kernel/jacobi-degraded-spare@" + topology,
 			Run: jacobiPair(func(m *hypercube.Machine) error {
-				m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-					Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 1,
-					Kind: hypercube.FaultKillForever,
+				m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+					Sweep: 3, Phase: engine.PhaseDispatch, Rank: 1,
+					Kind: engine.FaultKillForever,
 				})
 				return m.AddSpares(1)
 			}),
@@ -585,9 +586,9 @@ func TopologyBattery(topology string) []Scenario {
 			Name: "jacobi/degraded-spare@" + topology,
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignatureOn(topology, workers, func(m *hypercube.Machine) error {
-					m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-						Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 1,
-						Kind: hypercube.FaultKillForever,
+					m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+						Sweep: 3, Phase: engine.PhaseDispatch, Rank: 1,
+						Kind: engine.FaultKillForever,
 					})
 					return m.AddSpares(1)
 				})
@@ -597,9 +598,9 @@ func TopologyBattery(topology string) []Scenario {
 			Name: "jacobi/degraded-shrink@" + topology,
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignatureOn(topology, workers, func(m *hypercube.Machine) error {
-					m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-						Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 2,
-						Kind: hypercube.FaultKillForever,
+					m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+						Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2,
+						Kind: engine.FaultKillForever,
 					})
 					return nil
 				})

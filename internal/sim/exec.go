@@ -9,40 +9,45 @@ import (
 
 // This file is the run layer of the decode-once / execute-many split:
 // it executes a compiled ExecPlan (see plan.go) against the node's
-// mutable state. All mutation is confined to the receiver node, so
-// distinct nodes may execute plans concurrently.
+// mutable state. All mutation is confined to the receiver node and the
+// run scratch it holds for the dispatch, so distinct nodes may execute
+// plans concurrently.
 
 // Exec runs one microcode instruction to completion: streams every
 // cycle from 0 to the drain point, commits sink writes and reduction
 // registers, evaluates the sequencer's comparison, raises interrupts,
 // and accounts cycles and FLOPs. The instruction is decoded through
-// the node's plan cache, so iterative drivers that replay the same
-// instruction pay the decode cost exactly once. The sequencer decision
-// itself (next PC) is Run's job.
+// the store's plan table, so a machine that replays the same
+// instruction on any number of boards pays the decode cost exactly
+// once. The sequencer decision itself (next PC) is Run's job.
 func (n *Node) Exec(in *microcode.Instr) error {
-	pl, err := n.plan(in)
+	sc := n.store.acquire()
+	defer n.store.release(sc)
+	pl, err := n.store.plan(in, sc)
 	if err != nil {
 		return err
 	}
-	return n.run(pl)
+	return n.run(pl, sc)
 }
 
-// ExecUncached is Exec without the plan cache: the instruction is
+// ExecUncached is Exec without the plan table: the instruction is
 // decoded afresh on every call. It exists to measure (and test) what
-// the cache buys; drivers should use Exec.
+// the table buys; drivers should use Exec.
 func (n *Node) ExecUncached(in *microcode.Instr) error {
 	pl, err := compilePlan(n.Cfg, n.Inv, in)
 	if err != nil {
 		return err
 	}
-	return n.run(pl)
+	sc := n.store.acquire()
+	defer n.store.release(sc)
+	return n.run(pl, sc)
 }
 
 // run executes a compiled plan against the node state. Sink writes,
 // reduction registers and cache swaps commit only after evaluate
 // completes, so an attempt aborted by a trap is side-effect free and a
 // re-dispatch under the retry policy starts from identical state.
-func (n *Node) run(pl *ExecPlan) error {
+func (n *Node) run(pl *ExecPlan, sc *runScratch) error {
 	cfg := n.Cfg
 	start := n.Stats.Cycles
 	if pl.control {
@@ -69,7 +74,7 @@ func (n *Node) run(pl *ExecPlan) error {
 		}
 	}
 
-	sc := n.scratchFor(pl)
+	sc.fit(pl)
 	detect := pl.trapArmed || tc.Armed()
 	// Path selection happens once per dispatch: every condition that
 	// could force a per-cycle check (trap detection, armed ECC events,

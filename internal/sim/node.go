@@ -152,7 +152,8 @@ func (s Stats) MFLOPS(clockHz float64) float64 {
 }
 
 // Node is one NSC node: planes, caches, flags, reduction registers and
-// statistics. Construct with NewNode.
+// statistics. Construct with NewNode or Store.NewNode. Cfg, Inv and F
+// are the store's shared, read-only machine description.
 type Node struct {
 	Cfg arch.Config
 	Inv *arch.Inventory
@@ -168,17 +169,10 @@ type Node struct {
 	IRQs  []Interrupt
 	Stats Stats
 
-	// plans is the decoded-instruction cache: instruction bit pattern →
-	// compiled ExecPlan, with hit/miss accounting. scratch holds the
-	// reusable per-plan working sets of the run layer. Both are
-	// node-private, keeping concurrent multi-node execution free of
-	// shared mutable state.
-	plans                map[string]*ExecPlan
-	scratch              map[*ExecPlan]*runScratch
-	planHits, planMisses int64
-	// keyBuf is the reusable plan-cache key serialization buffer; the
-	// hit path probes the cache without materializing a key string.
-	keyBuf []byte
+	// store is the machine's decoded state — description, compiled
+	// plans and run scratch — shared with every other board built over
+	// it. Everything else on the node is the board's own.
+	store *Store
 
 	// KernelOff forces every dispatch through the reference
 	// interpreter even when the plan carries a specialized kernel —
@@ -214,24 +208,15 @@ type Node struct {
 	ObsID int
 }
 
-// NewNode builds a node for the configuration.
+// NewNode builds a standalone node for the configuration, over a
+// private Store. Boards of one machine are built with Store.NewNode
+// instead, so they share one.
 func NewNode(cfg arch.Config) (*Node, error) {
-	inv, err := arch.NewInventory(cfg)
+	s, err := NewStore(cfg)
 	if err != nil {
 		return nil, err
 	}
-	f, err := microcode.NewFormat(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n := &Node{Cfg: cfg, Inv: inv, F: f, RedReg: make([]float64, cfg.TotalFUs)}
-	for i := 0; i < cfg.MemPlanes; i++ {
-		n.Mem = append(n.Mem, NewPlane(cfg.PlaneWords()))
-	}
-	for i := 0; i < cfg.CachePlanes; i++ {
-		n.Cache = append(n.Cache, NewDoubleBuffer(cfg.CacheWords()))
-	}
-	return n, nil
+	return s.NewNode(), nil
 }
 
 // MustNode is NewNode for known-good configurations.
@@ -242,6 +227,9 @@ func MustNode(cfg arch.Config) *Node {
 	}
 	return n
 }
+
+// Store returns the store the node was built over.
+func (n *Node) Store() *Store { return n.store }
 
 // WriteWords stores vals into plane starting at addr (host-side data
 // loading).

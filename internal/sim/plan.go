@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/arch"
@@ -133,25 +132,6 @@ type ExecPlan struct {
 	// layer dispatches through it only when per-cycle detection
 	// (traps, ECC, tracer) is provably unnecessary.
 	kern *execKernel
-}
-
-// The plan-cache key is the instruction's exact bit pattern,
-// serialized little-endian (see Node.plan). Content addressing makes
-// the cache self-invalidating — any field mutation produces a
-// different key and therefore a fresh decode.
-
-// PlanCacheStats reports a node's compiled-plan cache behaviour.
-type PlanCacheStats struct {
-	Hits    int64
-	Misses  int64
-	Entries int
-}
-
-// Add accumulates o into s.
-func (s *PlanCacheStats) Add(o PlanCacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Entries += o.Entries
 }
 
 // compilePlan decodes one instruction into an ExecPlan. It performs
@@ -462,52 +442,6 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 	return pl, nil
 }
 
-// plan returns the compiled plan for in, decoding it at most once per
-// distinct instruction content. The cache is per-node, so concurrent
-// nodes never share mutable state. The lookup key is serialized into a
-// pooled buffer and probed with an in-place string conversion, so the
-// hit path — every dispatch of an iterative solver after the first —
-// performs no allocation; the key string is only materialized when a
-// miss inserts a new plan.
-func (n *Node) plan(in *microcode.Instr) (*ExecPlan, error) {
-	if need := 8 * len(in.W); cap(n.keyBuf) < need {
-		n.keyBuf = make([]byte, need)
-	}
-	key := n.keyBuf[:8*len(in.W)]
-	for i, lane := range in.W {
-		binary.LittleEndian.PutUint64(key[8*i:], lane)
-	}
-	if pl, ok := n.plans[string(key)]; ok {
-		n.planHits++
-		return pl, nil
-	}
-	n.planMisses++
-	pl, err := compilePlan(n.Cfg, n.Inv, in)
-	if err != nil {
-		return nil, err
-	}
-	if n.plans == nil {
-		n.plans = make(map[string]*ExecPlan)
-	}
-	n.plans[string(key)] = pl
-	return pl, nil
-}
-
-// PlanCacheStats reports the node's plan-cache hit/miss counters and
-// resident entry count.
-func (n *Node) PlanCacheStats() PlanCacheStats {
-	return PlanCacheStats{Hits: n.planHits, Misses: n.planMisses, Entries: len(n.plans)}
-}
-
-// ResetPlanCache drops every compiled plan and zeroes the counters,
-// including the kernel path counters.
-func (n *Node) ResetPlanCache() {
-	n.plans = nil
-	n.scratch = nil
-	n.planHits, n.planMisses = 0, 0
-	n.kernelFast, n.kernelSlow = 0, 0
-}
-
 // KernelStats reports how many vector dispatches ran through the
 // specialized kernel (fast) versus the reference interpreter (slow).
 // Control instructions take neither path and are not counted.
@@ -519,71 +453,4 @@ type KernelStats struct {
 // KernelStatsOf returns the node's kernel path counters.
 func (n *Node) KernelStatsOf() KernelStats {
 	return KernelStats{Fast: n.kernelFast, Slow: n.kernelSlow}
-}
-
-// redState is one reduction accumulator. The accumulators are
-// per-execution state, not plan state; they live in runScratch so the
-// run layer never allocates them per dispatch.
-type redState struct {
-	acc   float64
-	accOK bool
-}
-
-// runScratch is the reusable per-plan working set: one value/valid
-// lane per producer slot, T cycles long, stored slot-major in a single
-// contiguous array (lane s occupies val[s*T : (s+1)*T]). It belongs to
-// the run layer's mutable state (it lives on the node, never on the
-// plan), so two nodes executing the same plan concurrently never
-// share it.
-type runScratch struct {
-	val []float64 // slot-major: val[slot*T+c]
-	ok  []bool    // slot-major: ok[slot*T+c]
-
-	// reds holds the pooled reduction accumulators, reset at the top
-	// of every execution.
-	reds []redState
-
-	// opv/opok are the kernel's operand staging lanes (T cycles each):
-	// each functional-unit micro-op shifts or broadcasts its operands
-	// into these before the branch-free apply loop runs.
-	opv  [2][]float64
-	opok [2][]bool
-}
-
-// lane returns producer slot s's value and validity lanes.
-func (sc *runScratch) lane(T, s int) ([]float64, []bool) {
-	return sc.val[s*T : (s+1)*T : (s+1)*T], sc.ok[s*T : (s+1)*T : (s+1)*T]
-}
-
-// sample reads producer slot `slot` at cycle c; cycles outside [0,T)
-// (pipeline lead-in seen through a delay, or an unconnected operand)
-// read as zero/invalid.
-func (sc *runScratch) sample(T, slot, c int) (float64, bool) {
-	if slot < 0 || c < 0 || c >= T {
-		return 0, false
-	}
-	return sc.val[slot*T+c], sc.ok[slot*T+c]
-}
-
-// scratchFor returns (allocating once per plan) the node's working set
-// for pl. Reuse is safe without zeroing: every producer lane is
-// written at every cycle before any same-run read of that cycle.
-func (n *Node) scratchFor(pl *ExecPlan) *runScratch {
-	if sc, ok := n.scratch[pl]; ok {
-		return sc
-	}
-	sc := &runScratch{
-		val:  make([]float64, pl.slots*pl.T),
-		ok:   make([]bool, pl.slots*pl.T),
-		reds: make([]redState, pl.nReds),
-	}
-	for i := range sc.opv {
-		sc.opv[i] = make([]float64, pl.T)
-		sc.opok[i] = make([]bool, pl.T)
-	}
-	if n.scratch == nil {
-		n.scratch = make(map[*ExecPlan]*runScratch)
-	}
-	n.scratch[pl] = sc
-	return sc
 }

@@ -19,7 +19,7 @@ func TestPlanCacheCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := n.PlanCacheStats()
+	st := n.Store().Stats()
 	if st.Entries != 1 || st.Misses != 1 || st.Hits != 4 {
 		t.Errorf("after 5 identical dispatches: %+v, want 1 entry, 1 miss, 4 hits", st)
 	}
@@ -29,15 +29,9 @@ func TestPlanCacheCounters(t *testing.T) {
 	if err := n.Exec(other); err != nil {
 		t.Fatal(err)
 	}
-	st = n.PlanCacheStats()
+	st = n.Store().Stats()
 	if st.Entries != 2 || st.Misses != 2 {
 		t.Errorf("after distinct instruction: %+v, want 2 entries, 2 misses", st)
-	}
-
-	n.ResetPlanCache()
-	st = n.PlanCacheStats()
-	if st.Entries != 0 || st.Misses != 0 || st.Hits != 0 {
-		t.Errorf("after reset: %+v, want all zero", st)
 	}
 }
 
@@ -61,7 +55,7 @@ func TestPlanCacheInvalidatesOnMutation(t *testing.T) {
 	if err := n.Exec(in); err != nil {
 		t.Fatal(err)
 	}
-	st := n.PlanCacheStats()
+	st := n.Store().Stats()
 	if st.Entries != 2 || st.Misses != 2 || st.Hits != 0 {
 		t.Errorf("mutated instruction should recompile: %+v", st)
 	}
@@ -74,7 +68,7 @@ func TestPlanCacheInvalidatesOnMutation(t *testing.T) {
 }
 
 // TestCachedExecMatchesUncached runs the same program on two fresh
-// nodes — one through the plan cache, one decoding on every dispatch —
+// nodes — one through the plan table, one decoding on every dispatch —
 // and demands identical plane contents, statistics and reduction
 // registers. The cache must be a pure performance optimization.
 func TestCachedExecMatchesUncached(t *testing.T) {
@@ -116,7 +110,7 @@ func TestCachedExecMatchesUncached(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := uncached.PlanCacheStats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
+	if st := uncached.Store().Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("ExecUncached must bypass the cache entirely: %+v", st)
 	}
 	if cached.Stats.Cycles != uncached.Stats.Cycles ||
@@ -157,7 +151,7 @@ func TestCompileRejectsOutOfRangeCounter(t *testing.T) {
 	if !strings.Contains(err.Error(), "seq.ctr") {
 		t.Errorf("error should name the counter field: %v", err)
 	}
-	if st := n.PlanCacheStats(); st.Entries != 0 {
+	if st := n.Store().Stats(); st.Entries != 0 {
 		t.Errorf("failed compile must not be cached: %+v", st)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 )
 
 // This file is the node's exception subsystem: typed trap records for
@@ -306,14 +307,15 @@ type eccKey struct {
 }
 
 // InjectECC arms seeded ECC events on the node's memory planes. Each
-// event fires once, on the first DMA read of its word after arming.
+// event fires once, on the first DMA read of its word after arming. An
+// event off the node's planes is a fault-plan diagnostic (R040).
 func (n *Node) InjectECC(faults ...ECCFault) error {
 	for _, f := range faults {
 		if f.Plane < 0 || f.Plane >= len(n.Mem) {
-			return fmt.Errorf("sim: ECC fault %s: plane outside %d planes", f, len(n.Mem))
+			return diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault %s: plane outside %d planes", f, len(n.Mem))
 		}
 		if f.Addr < 0 || f.Addr >= n.Cfg.PlaneWords() {
-			return fmt.Errorf("sim: ECC fault %s: address outside plane of %d words", f, n.Cfg.PlaneWords())
+			return diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault %s: address outside plane of %d words", f, n.Cfg.PlaneWords())
 		}
 		if n.ecc == nil {
 			n.ecc = make(map[eccKey][]ECCFault)
@@ -351,7 +353,8 @@ func (n *Node) takeECC(plane int, addr int64) (ECCFault, bool) {
 
 // ParseECCFaults parses a comma-separated event list, each event
 // "plane:addr:single" or "plane:addr:double" (the nscsim -ecc-faults
-// syntax, minus the leading rank the multi-node driver adds).
+// syntax, minus the leading rank the multi-node driver adds). Errors
+// are fault-plan diagnostics (R040).
 func ParseECCFaults(spec string) ([]ECCFault, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -372,21 +375,21 @@ func parseECCFault(tok string) (ECCFault, error) {
 	var f ECCFault
 	parts := strings.Split(tok, ":")
 	if len(parts) != 3 {
-		return f, fmt.Errorf("sim: ECC fault %q: want plane:addr:single|double", tok)
+		return f, diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault %q: want plane:addr:single|double", tok)
 	}
 	var err error
 	if f.Plane, err = strconv.Atoi(parts[0]); err != nil {
-		return f, fmt.Errorf("sim: ECC fault plane %q: %w", parts[0], err)
+		return f, diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault plane %q: %w", parts[0], err)
 	}
 	if f.Addr, err = strconv.ParseInt(parts[1], 10, 64); err != nil {
-		return f, fmt.Errorf("sim: ECC fault addr %q: %w", parts[1], err)
+		return f, diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault addr %q: %w", parts[1], err)
 	}
 	switch parts[2] {
 	case "single":
 	case "double":
 		f.Double = true
 	default:
-		return f, fmt.Errorf("sim: ECC fault kind %q: want single or double", parts[2])
+		return f, diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault kind %q: want single or double", parts[2])
 	}
 	return f, nil
 }

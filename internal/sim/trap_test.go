@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 	"repro/internal/microcode"
 )
 
@@ -304,14 +305,13 @@ func TestECCDoubleBit(t *testing.T) {
 
 func TestInjectECCValidates(t *testing.T) {
 	n := newNode(t)
-	if err := n.InjectECC(ECCFault{Plane: 99, Addr: 0}); err == nil {
-		t.Error("plane 99 accepted")
-	}
-	if err := n.InjectECC(ECCFault{Plane: 0, Addr: -1}); err == nil {
-		t.Error("negative address accepted")
-	}
-	if err := n.InjectECC(ECCFault{Plane: 0, Addr: n.Cfg.PlaneWords()}); err == nil {
-		t.Error("past-end address accepted")
+	for _, f := range []ECCFault{{Plane: 99, Addr: 0}, {Plane: 0, Addr: -1}, {Plane: 0, Addr: n.Cfg.PlaneWords()}} {
+		err := n.InjectECC(f)
+		if err == nil {
+			t.Errorf("fault %s accepted", f)
+		} else if de := diag.AsDiagnostic(err, ""); de.Rule != diag.RuleFaultPlan {
+			t.Errorf("fault %s: %v is not an %s diagnostic", f, err, diag.RuleFaultPlan)
+		}
 	}
 }
 
@@ -331,8 +331,11 @@ func TestParseECCFaults(t *testing.T) {
 		t.Errorf("empty spec = %v, %v", fs, err)
 	}
 	for _, bad := range []string{"0:5", "0:5:triple", "x:5:single", "0:y:double", "0:5:single:extra"} {
-		if _, err := ParseECCFaults(bad); err == nil {
+		_, err := ParseECCFaults(bad)
+		if err == nil {
 			t.Errorf("spec %q accepted", bad)
+		} else if de := diag.AsDiagnostic(err, ""); de.Rule != diag.RuleFaultPlan {
+			t.Errorf("spec %q: %v is not an %s diagnostic", bad, err, diag.RuleFaultPlan)
 		}
 	}
 }

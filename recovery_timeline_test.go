@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/multigrid"
 	"repro/internal/obs"
@@ -13,9 +14,9 @@ import (
 // timelineSolve is one recovery-timeline case: a solver run on a
 // four-node hypercube with the obs layer armed, under an optional
 // fault plan and spare pool.
-type timelineSolve func(t *testing.T, plan *hypercube.FaultPlan, spares int) *obs.Obs
+type timelineSolve func(t *testing.T, plan *engine.FaultPlan, spares int) *obs.Obs
 
-func timelineJacobi(t *testing.T, plan *hypercube.FaultPlan, spares int) *obs.Obs {
+func timelineJacobi(t *testing.T, plan *engine.FaultPlan, spares int) *obs.Obs {
 	t.Helper()
 	m, err := hypercube.New(chaosCfg(), 2)
 	if err != nil {
@@ -35,7 +36,7 @@ func timelineJacobi(t *testing.T, plan *hypercube.FaultPlan, spares int) *obs.Ob
 	return o
 }
 
-func timelineMultigrid(t *testing.T, plan *hypercube.FaultPlan, spares int) *obs.Obs {
+func timelineMultigrid(t *testing.T, plan *engine.FaultPlan, spares int) *obs.Obs {
 	t.Helper()
 	m, err := hypercube.New(chaosCfg(), 2)
 	if err != nil {
@@ -91,8 +92,8 @@ func TestRecoveryTimeline(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clean := tc.solve(t, nil, 0).Reg.Totals()
-			o := tc.solve(t, hypercube.MustFaultPlan(hypercube.FaultEvent{
-				Sweep: tc.sweep, Phase: hypercube.PhaseDispatch, Rank: 1, Kind: hypercube.FaultKillForever,
+			o := tc.solve(t, engine.MustFaultPlan(engine.FaultEvent{
+				Sweep: tc.sweep, Phase: engine.PhaseDispatch, Rank: 1, Kind: engine.FaultKillForever,
 			}), tc.spares)
 
 			last, spans := int64(-1), 0
@@ -156,9 +157,9 @@ func TestJacobiObservePhaseOrder(t *testing.T) {
 	}
 	m.StopAfter = 6
 	m.CheckpointEvery = 2
-	m.Faults = hypercube.MustFaultPlan(
-		hypercube.FaultEvent{Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 1, Kind: hypercube.FaultKill, Repeat: 3},
-		hypercube.FaultEvent{Sweep: 4, Phase: hypercube.PhaseDispatch, Rank: 2, Kind: hypercube.FaultKillForever},
+	m.Faults = engine.MustFaultPlan(
+		engine.FaultEvent{Sweep: 3, Phase: engine.PhaseDispatch, Rank: 1, Kind: engine.FaultKill, Repeat: 3},
+		engine.FaultEvent{Sweep: 4, Phase: engine.PhaseDispatch, Rank: 2, Kind: engine.FaultKillForever},
 	)
 	if err := m.AddSpares(1); err != nil {
 		t.Fatal(err)
