@@ -102,6 +102,31 @@ func TestJacobiCheckpointRestartCLI(t *testing.T) {
 	}
 }
 
+// TestJacobiRestoreAfterShrinkCLI: a snapshot saved after a permanent
+// kill shrank the ring from 4 ranks to 3 restores in a fresh process
+// onto the full 4-node machine, and the resumed solve ends exactly as
+// an uninterrupted run does.
+func TestJacobiRestoreAfterShrinkCLI(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "a.ckpt")
+	_, stderr, code := runCLI(t,
+		"-jacobi", "8", "-cube", "2", "-sweeps", "20", "-kill", "5:1", "-checkpoint-every", "4", "-checkpoint", ck)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	verified, stderr, code := runCLI(t, "-verify-checkpoint", ck)
+	if code != 0 || !strings.Contains(verified, "3 rank(s)") {
+		t.Fatalf("saved snapshot (exit %d): %s%s", code, verified, stderr)
+	}
+	resumed, stderr, code := runCLI(t, "-jacobi", "8", "-cube", "2", "-sweeps", "30", "-restore", ck)
+	if code != 0 {
+		t.Fatalf("restore exit %d, stderr: %s", code, stderr)
+	}
+	clean, _, _ := runCLI(t, "-jacobi", "8", "-cube", "2", "-sweeps", "30")
+	if jacobiLine(resumed) != jacobiLine(clean) {
+		t.Errorf("restored solve diverged:\n%s\n%s", jacobiLine(resumed), jacobiLine(clean))
+	}
+}
+
 func TestJacobiBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-jacobi", "8", "-faults", "teleport:kill@1:0"}, // bad fault spec

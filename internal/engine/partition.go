@@ -32,39 +32,18 @@ func NewPartition(p, n, nz int) (*Partition, error) {
 	if p < 1 || inner < p {
 		return nil, fmt.Errorf("engine: cannot partition %d interior planes across %d ranks", inner, p)
 	}
-	planes := make([]int, p)
+	pt := &Partition{P: p, N: n, Nz: nz, Lo: make([]int, p), Planes: make([]int, p)}
 	q, rem := inner/p, inner%p
-	for r := range planes {
-		planes[r] = q
-		if r < rem {
-			planes[r]++
-		}
-	}
-	return PartitionOf(n, nz, planes)
-}
-
-// PartitionOf builds the partition that gives ring rank r planes[r]
-// interior planes, in rank order — the shape a checkpoint records. The
-// counts must be positive and cover the Nz-2 interior planes exactly.
-func PartitionOf(n, nz int, planes []int) (*Partition, error) {
-	pt := &Partition{P: len(planes), N: n, Nz: nz, Lo: make([]int, len(planes)), Planes: append([]int(nil), planes...)}
 	lo := 1
-	for r, pl := range planes {
-		if pl < 1 {
-			return nil, fmt.Errorf("engine: rank %d owns %d planes", r, pl)
+	for r := range pt.Planes {
+		pt.Planes[r] = q
+		if r < rem {
+			pt.Planes[r]++
 		}
 		pt.Lo[r] = lo
-		lo += pl
-	}
-	if len(planes) == 0 || lo != nz-1 {
-		return nil, fmt.Errorf("engine: planes sum to %d interior planes, grid has %d", lo-1, nz-2)
+		lo += pt.Planes[r]
 	}
 	return pt, nil
-}
-
-// Uniform reports whether every rank owns the same number of planes.
-func (pt *Partition) Uniform() bool {
-	return (pt.Nz-2)%pt.P == 0
 }
 
 // NN returns the words in one face (an N×N plane).
@@ -126,21 +105,6 @@ func (pt *Partition) RefillWords(dead []int, shrunk bool, planes int) []int64 {
 		}
 	}
 	return words
-}
-
-// Assemble rebuilds a global N×N×Nz plane from per-rank local grids:
-// owned planes from each rank, the global boundary planes from the
-// edge ranks' outer ghost planes.
-func (pt *Partition) Assemble(locals [][]float64) []float64 {
-	nn := pt.NN()
-	g := make([]float64, nn*pt.Nz)
-	copy(g[:nn], locals[0][:nn])
-	last := pt.P - 1
-	copy(g[(pt.Nz-1)*nn:], locals[last][pt.SlabWords(last)-nn:])
-	for r := 0; r < pt.P; r++ {
-		copy(g[pt.Lo[r]*nn:], locals[r][nn:nn+pt.OwnedWords(r)])
-	}
-	return g
 }
 
 // Local extracts rank r's slab problem from the global one: planes

@@ -11,9 +11,6 @@ func TestNewPartitionEven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !part.Uniform() {
-		t.Error("12 planes over 4 ranks should be uniform")
-	}
 	wantLo := []int{1, 4, 7, 10}
 	for r := 0; r < 4; r++ {
 		if part.Lo[r] != wantLo[r] || part.Planes[r] != 3 {
@@ -35,9 +32,6 @@ func TestNewPartitionUneven(t *testing.T) {
 	part, err := NewPartition(8, 17, 17)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if part.Uniform() {
-		t.Error("15 planes over 8 ranks must not be uniform")
 	}
 	next := 1
 	total := 0
@@ -69,15 +63,15 @@ func TestNewPartitionTooManyRanks(t *testing.T) {
 
 // TestPartitionLayout: Scatter writes each rank's slab, ghosts
 // included, from the global array; Gather reads back only the owned
-// planes; Assemble rebuilds the global array from the local grids.
+// planes.
 func TestPartitionLayout(t *testing.T) {
 	const n, nz = 2, 7
 	nn := n * n
-	part, err := PartitionOf(n, nz, []int{2, 1, 2})
+	part, err := NewPartition(3, n, nz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(part.Lo, []int{1, 3, 4}) || part.SlabWords(1) != 3*nn || part.OwnedWords(2) != 2*nn {
+	if !slices.Equal(part.Lo, []int{1, 3, 5}) || part.SlabWords(1) != 4*nn || part.OwnedWords(2) != nn {
 		t.Fatalf("partition %+v", part)
 	}
 	f := newRingFabric(t, 3)
@@ -98,9 +92,6 @@ func TestPartitionLayout(t *testing.T) {
 			t.Errorf("rank %d slab %v, want %v", r, locals[r], g[lo:lo+part.SlabWords(r)])
 		}
 	}
-	if got := part.Assemble(locals); !slices.Equal(got, g) {
-		t.Errorf("assembled %v, want %v", got, g)
-	}
 	back := make([]float64, nz*nn)
 	if err := part.Gather(f, 1, back); err != nil {
 		t.Fatal(err)
@@ -112,16 +103,10 @@ func TestPartitionLayout(t *testing.T) {
 		t.Errorf("gathered %v, want %v (boundary planes untouched)", back, want)
 	}
 
-	if got := part.RefillWords([]int{2}, false, 2); !slices.Equal(got, []int64{0, 0, 2 * 4 * int64(nn)}) {
+	if got := part.RefillWords([]int{2}, false, 2); !slices.Equal(got, []int64{0, 0, 2 * 3 * int64(nn)}) {
 		t.Errorf("spare refill words %v", got)
 	}
-	if got := part.RefillWords([]int{2}, true, 1); !slices.Equal(got, []int64{4 * int64(nn), 3 * int64(nn), 4 * int64(nn)}) {
+	if got := part.RefillWords([]int{2}, true, 1); !slices.Equal(got, []int64{4 * int64(nn), 4 * int64(nn), 3 * int64(nn)}) {
 		t.Errorf("shrink refill words %v", got)
-	}
-
-	for _, bad := range [][]int{{2, 0, 3}, {2, 2, 2}, nil} {
-		if _, err := PartitionOf(n, nz, bad); err == nil {
-			t.Errorf("planes %v accepted for %d interior planes", bad, nz-2)
-		}
 	}
 }

@@ -151,6 +151,18 @@ func (mr *Mirror) Take(f Fabric, part *Partition, sweep int, series []float64) e
 	return nil
 }
 
+// Restore writes every mirrored plane into every slab of part, ghosts
+// included. Restoring is host bookkeeping too: a caller that moves the
+// planes over the fabric charges the scatter itself.
+func (mr *Mirror) Restore(f Fabric, part *Partition) error {
+	for i, plane := range mr.Planes {
+		if err := part.Scatter(f, plane, mr.Grids[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Recover survives the permanent loss of dre's ranks and restores the
 // solve's state from mr. It repairs the ring through the fabric, hands
 // rebuild the repaired partition — the same one after a hot spare, a
@@ -191,10 +203,8 @@ func (lp *Loop) Recover(dre *DeadRankError, mr *Mirror, source string, resweeps 
 	// memory is a simulation artifact and free; the refilled slots — or,
 	// after a shrink, every slab, since every boundary may have moved —
 	// receive theirs over the fabric.
-	for i, plane := range mr.Planes {
-		if err := part.Scatter(f, plane, mr.Grids[i]); err != nil {
-			return err
-		}
+	if err := mr.Restore(f, part); err != nil {
+		return err
 	}
 	ChargeScatter(f, part.RefillWords(dre.Ranks, shrunk > 0, len(mr.Planes)))
 

@@ -421,10 +421,7 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 	}
 	startIt, skipAt := 0, -1
 	if ck := m.Restore; ck != nil {
-		if err := ck.compatible(part); err != nil {
-			return nil, err
-		}
-		if err := m.applyCheckpoint(ck); err != nil {
+		if err := m.restore(ck, part); err != nil {
 			return nil, err
 		}
 		startIt, skipAt = ck.Sweep, ck.Sweep
@@ -508,90 +505,33 @@ func (m *Machine) corruptNode(nd *sim.Node, plane int, addr int64, count int) er
 	return nd.WriteWords(plane, addr, data)
 }
 
-// snapshot captures a sweep-boundary checkpoint: every rank's u and v
-// planes, the residual history, the machine clocks and the fault/plan
-// counters. An uneven partition (the shape a shrink leaves behind)
-// records its per-rank plane counts and serializes as version 3.
-func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Problem,
-	series []float64, faults engine.FaultStats, pcBase sim.PlanCacheStats, trapBase sim.TrapStats) (*Checkpoint, error) {
-	ck := &Checkpoint{
-		Sweep: it, P: part.P, N: global.N, Nz: global.Nz,
-		Topology:      m.Topo.Name(),
-		Residuals:     append([]float64(nil), series...),
-		MachineCycles: m.MachineCycles,
-		CommCycles:    m.CommCycles,
-		Faults:        faults,
-		FaultFired:    m.Faults.FiredSnapshot(),
-		PlanCache:     pcBase,
-	}
-	if part.Uniform() {
-		ck.Slab = part.Planes[0]
-	} else {
-		ck.Planes = append([]int(nil), part.Planes...)
-	}
-	for r := 0; r < part.P; r++ {
-		words := part.SlabWords(r)
-		u, err := m.ring[r].ReadWords(jacobi.PlaneU, 0, words)
-		if err != nil {
-			return nil, err
-		}
-		v, err := m.ring[r].ReadWords(jacobi.PlaneV, 0, words)
-		if err != nil {
-			return nil, err
-		}
-		ck.U = append(ck.U, u)
-		ck.V = append(ck.V, v)
-	}
-	ck.PlanCache.Add(m.store().Stats())
-	ck.Traps = trapBase
-	for _, nd := range m.participants() {
-		ck.Traps.Add(nd.TrapCounters)
-	}
-	return ck, nil
-}
-
-// ValidateCheckpoint rejects snapshots whose header declares more
-// ranks or larger planes than this machine provides — a forged or
-// mismatched file must fail with a clear error, never an index panic
-// or a partial restore.
-func (m *Machine) ValidateCheckpoint(ck *Checkpoint) error {
-	if ck.Topology != "" && ck.Topology != m.Topo.Name() {
+// ValidateCheckpoint rejects a snapshot that cannot restore a solve of
+// an n×n×nz grid on this machine: one taken on another fabric or of
+// another grid, or whose iterate grids are not n·n·nz words — a forged
+// or mismatched file must fail with a clear error, never an index
+// panic or a partial restore. The rank count it was taken on does not
+// matter: its grids are global, so they restore onto any partition.
+func (m *Machine) ValidateCheckpoint(ck *Checkpoint, n, nz int) error {
+	if ck.Topology != m.Topo.Name() {
 		return fmt.Errorf("hypercube: checkpoint recorded topology %q, machine runs %q",
 			ck.Topology, m.Topo.Name())
 	}
-	if ck.P > m.P() {
-		return fmt.Errorf("hypercube: checkpoint declares %d ranks, machine has %d nodes", ck.P, m.P())
+	if ck.N != n || ck.Nz != nz {
+		return fmt.Errorf("hypercube: checkpoint grid %d×%d×%d does not match the solve's %d×%d×%d",
+			ck.N, ck.N, ck.Nz, n, n, nz)
 	}
-	if len(ck.U) != ck.P || len(ck.V) != ck.P {
-		return fmt.Errorf("hypercube: checkpoint holds %d/%d node grids, header declares %d ranks",
-			len(ck.U), len(ck.V), ck.P)
-	}
-	if ck.Planes != nil && len(ck.Planes) != ck.P {
-		return fmt.Errorf("hypercube: checkpoint carries %d plane counts, header declares %d ranks",
-			len(ck.Planes), ck.P)
-	}
-	if w := int64(ck.maxPlaneWords()); w > m.Cfg.PlaneWords() {
-		return fmt.Errorf("hypercube: checkpoint planes of %d words exceed the machine's %d-word planes",
-			w, m.Cfg.PlaneWords())
+	if words := n * n * nz; len(ck.U) != words || len(ck.V) != words {
+		return fmt.Errorf("hypercube: checkpoint grids hold %d/%d words, want %d", len(ck.U), len(ck.V), words)
 	}
 	return nil
 }
 
-// applyCheckpoint writes a snapshot's iterate planes back into the
-// live ring's nodes.
-func (m *Machine) applyCheckpoint(ck *Checkpoint) error {
-	if err := m.ValidateCheckpoint(ck); err != nil {
+// restore writes a snapshot's iterate planes into every slab of part.
+func (m *Machine) restore(ck *Checkpoint, part *engine.Partition) error {
+	if err := m.ValidateCheckpoint(ck, part.N, part.Nz); err != nil {
 		return err
 	}
-	for r := 0; r < ck.P; r++ {
-		if err := m.ring[r].WriteWords(jacobi.PlaneU, 0, ck.U[r]); err != nil {
-			return err
-		}
-		if err := m.ring[r].WriteWords(jacobi.PlaneV, 0, ck.V[r]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ck.mirror().Restore(m.Fabric(), part)
 }
 
 // InjectECC arms seeded memory-plane ECC events on ring rank r. Every

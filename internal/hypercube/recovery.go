@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/engine"
-	"repro/internal/jacobi"
 )
 
 // Degraded-mode recovery: the machine half of surviving permanent node
@@ -130,10 +129,9 @@ func (s *jacobiSolve) buddyHolds(dead []int) bool {
 // recover handles a permanent node loss: it picks the state source —
 // the buddy mirror, else LastCheckpoint — and has the loop repair the
 // ring, rebuild the code over the repaired partition and restore the
-// iterate. A stale pre-recovery checkpoint can no longer restore the
-// new shape, so it then synthesizes a fresh one at the resume
-// boundary. It returns the sweep boundary to resume from; s.series
-// holds that boundary's residual history afterwards.
+// iterate. LastCheckpoint then moves to the resume boundary, over a
+// copy of the restored state. It returns the sweep boundary to resume
+// from; s.series holds that boundary's residual history afterwards.
 func (s *jacobiSolve) recover(dre *engine.DeadRankError) (int, error) {
 	m := s.m
 	mr, source := s.buddy, "buddy"
@@ -142,36 +140,25 @@ func (s *jacobiSolve) recover(dre *engine.DeadRankError) (int, error) {
 		if ck == nil {
 			return 0, fmt.Errorf("hypercube: rank(s) %v died with no buddy mirror and no checkpoint to restore from", dre.Ranks)
 		}
-		if ck.P != s.part.P || ck.N != s.part.N || ck.Nz != s.part.Nz {
-			return 0, fmt.Errorf("hypercube: checkpoint shape P=%d N=%d Nz=%d cannot restore a P=%d N=%d Nz=%d solve",
-				ck.P, ck.N, ck.Nz, s.part.P, s.part.N, s.part.Nz)
-		}
-		ckPart, err := ck.partition()
-		if err != nil {
+		if err := m.ValidateCheckpoint(ck, s.part.N, s.part.Nz); err != nil {
 			return 0, err
 		}
-		if err := ck.compatible(ckPart); err != nil {
-			return 0, err
-		}
-		mr = &engine.Mirror{Sweep: ck.Sweep, Series: ck.Residuals, Part: ckPart,
-			Planes: []int{jacobi.PlaneU, jacobi.PlaneV},
-			Grids:  [][]float64{ckPart.Assemble(ck.U), ckPart.Assemble(ck.V)}}
-		source = "checkpoint"
+		mr, source = ck.mirror(), "checkpoint"
 	}
 	// Both boundaries precede the death.
 	if err := s.lp.Recover(dre, mr, source, int64(dre.Sweep-mr.Sweep), s.build); err != nil {
 		return 0, err
 	}
 	s.series = append(s.series[:0], mr.Series...)
-	// The synthesized checkpoint is internal only — not sent to the
+	// The resume-boundary checkpoint is internal only — not sent to the
 	// sink; its counters are the restore base, which rollback never
-	// reads.
+	// reads. It copies the grids: the buddy mirror reuses its buffers.
 	if m.CheckpointEvery > 0 || m.LastCheckpoint != nil {
-		ck, err := m.snapshot(mr.Sweep, s.part, s.global, mr.Series, s.base, s.pcBase, s.trapBase)
-		if err != nil {
-			return 0, err
-		}
-		m.LastCheckpoint = ck
+		m.LastCheckpoint = s.snapshot(&engine.Mirror{
+			Sweep:  mr.Sweep,
+			Series: slices.Clone(mr.Series),
+			Grids:  [][]float64{slices.Clone(mr.Grids[0]), slices.Clone(mr.Grids[1])},
+		}, s.base)
 	}
 	return mr.Sweep, nil
 }

@@ -175,10 +175,7 @@ func (s *jacobiSolve) run(it, skipAt int) (sweeps int, residual float64, converg
 			if ck == nil || restores >= maxRestores {
 				return 0, 0, false, be
 			}
-			if err := ck.compatible(s.part); err != nil {
-				return 0, 0, false, err
-			}
-			if err := m.applyCheckpoint(ck); err != nil {
+			if err := m.restore(ck, s.part); err != nil {
 				return 0, 0, false, err
 			}
 			restores++
@@ -191,15 +188,17 @@ func (s *jacobiSolve) run(it, skipAt int) (sweeps int, residual float64, converg
 }
 
 // take snapshots the solve at a sweep boundary into LastCheckpoint and
-// the machine's sink.
+// the machine's sink. The snapshot owns fresh grids: the sink may keep
+// it.
 func (s *jacobiSolve) take(sweep int) error {
 	m := s.m
-	faults := s.base
-	faults.Add(s.faults())
-	ck, err := m.snapshot(sweep, s.part, s.global, s.series, faults, s.pcBase, s.trapBase)
-	if err != nil {
+	mr := engine.NewMirror(s.global.N, s.global.Nz, jacobi.PlaneU, jacobi.PlaneV)
+	if err := mr.Take(m.Fabric(), s.part, sweep, s.series); err != nil {
 		return err
 	}
+	faults := s.base
+	faults.Add(s.faults())
+	ck := s.snapshot(mr, faults)
 	m.LastCheckpoint = ck
 	if m.CheckpointSink != nil {
 		if err := m.CheckpointSink(ck); err != nil {
@@ -207,4 +206,30 @@ func (s *jacobiSolve) take(sweep int) error {
 		}
 	}
 	return nil
+}
+
+// snapshot builds a checkpoint over mr's state — its boundary, residual
+// history and u and v grids, which the checkpoint takes over — with the
+// machine clocks, the given fault counters and the plan, trap and
+// fault-plan counters so far.
+func (s *jacobiSolve) snapshot(mr *engine.Mirror, faults engine.FaultStats) *Checkpoint {
+	m := s.m
+	ck := &Checkpoint{
+		Sweep: mr.Sweep, Topology: m.Topo.Name(),
+		P: s.part.P, N: s.global.N, Nz: s.global.Nz,
+		Residuals:     mr.Series,
+		MachineCycles: m.MachineCycles,
+		CommCycles:    m.CommCycles,
+		Faults:        faults,
+		FaultFired:    m.Faults.FiredSnapshot(),
+		PlanCache:     s.pcBase,
+		Traps:         s.trapBase,
+		U:             mr.Grids[0],
+		V:             mr.Grids[1],
+	}
+	ck.PlanCache.Add(m.store().Stats())
+	for _, nd := range m.participants() {
+		ck.Traps.Add(nd.TrapCounters)
+	}
+	return ck
 }

@@ -107,9 +107,9 @@ func TestFabricHopsPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestCheckpointTopology: snapshots record the fabric; non-hypercube
-// snapshots serialize as version 3 and round-trip exactly, and a
-// restore onto a different fabric is rejected up front.
+// TestCheckpointTopology: snapshots record the fabric in the header and
+// round-trip it exactly, and a restore onto a different fabric is
+// rejected up front.
 func TestCheckpointTopology(t *testing.T) {
 	m := machineOn(t, "mesh2d", 2, 0)
 	m.CheckpointEvery = 2
@@ -133,9 +133,6 @@ func TestCheckpointTopology(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := keep.WriteTo(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(checkpointMagicV3)) {
-		t.Error("non-hypercube snapshot did not serialize as version 3")
 	}
 	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {

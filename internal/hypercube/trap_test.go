@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/diag"
+	"repro/internal/engine"
 	"repro/internal/jacobi"
 	"repro/internal/sim"
 )
@@ -202,36 +203,34 @@ func TestValidateCheckpointRejectsOversize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grids := func(p, words int) [][]float64 {
-		out := make([][]float64, p)
-		for i := range out {
-			out[i] = make([]float64, words)
-		}
-		return out
+	grid := func(words int) []float64 { return make([]float64, words) }
+	part, err := engine.NewPartition(m.P(), 4, 6)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// More ranks than nodes.
-	ck := &Checkpoint{P: 8, N: 4, Nz: 18, Slab: 2, U: grids(8, 64), V: grids(8, 64)}
-	if err := m.ValidateCheckpoint(ck); err == nil || !strings.Contains(err.Error(), "ranks") {
-		t.Errorf("8-rank checkpoint on a 2-node machine: %v", err)
+	// A grid larger than the solve's, declared by the header (grid
+	// payloads left empty: the shape check reads the header first).
+	ck := &Checkpoint{Topology: "hypercube", P: 1, N: 8192, Nz: 3}
+	if err := m.ValidateCheckpoint(ck, 4, 6); err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Errorf("oversize grid: %v", err)
 	}
-	if err := m.applyCheckpoint(ck); err == nil {
-		t.Error("applyCheckpoint accepted an oversized rank count")
-	}
-
-	// Planes larger than the machine's memory planes (grid payloads left
-	// empty: the size check reads the header shape, not the slices).
-	ck = &Checkpoint{P: 1, N: 8192, Nz: 3, Slab: 1, U: grids(1, 0), V: grids(1, 0)}
-	if int64(ck.maxPlaneWords()) <= m.Cfg.PlaneWords() {
-		t.Fatal("test shape no longer oversizes the default planes; enlarge it")
-	}
-	if err := m.ValidateCheckpoint(ck); err == nil || !strings.Contains(err.Error(), "words") {
-		t.Errorf("oversize planes: %v", err)
+	if err := m.restore(ck, part); err == nil {
+		t.Error("restore accepted an oversize grid")
 	}
 
-	// A matching shape passes.
-	ck = &Checkpoint{P: 2, N: 4, Nz: 6, Slab: 2, U: grids(2, 64), V: grids(2, 64)}
-	if err := m.ValidateCheckpoint(ck); err != nil {
-		t.Errorf("matching checkpoint rejected: %v", err)
+	// Grids longer than the header's shape.
+	ck = &Checkpoint{Topology: "hypercube", P: 2, N: 4, Nz: 6, U: grid(97), V: grid(97)}
+	if err := m.ValidateCheckpoint(ck, 4, 6); err == nil || !strings.Contains(err.Error(), "words") {
+		t.Errorf("oversize grids: %v", err)
+	}
+
+	// A matching shape passes, whatever rank count it was taken on.
+	ck = &Checkpoint{Topology: "hypercube", P: 8, N: 4, Nz: 6, U: grid(96), V: grid(96)}
+	if err := m.ValidateCheckpoint(ck, 4, 6); err != nil {
+		t.Errorf("matching 8-rank checkpoint on a 2-node machine rejected: %v", err)
+	}
+	if err := m.restore(ck, part); err != nil {
+		t.Errorf("matching checkpoint did not restore: %v", err)
 	}
 }

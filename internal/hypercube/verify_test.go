@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// tinyCheckpoint builds the smallest interesting snapshot: 2 ranks,
-// non-trivial counters, a few residuals.
+// tinyCheckpoint builds the smallest interesting snapshot: a 2×2×6
+// grid taken on 2 ranks, non-trivial counters, a few residuals.
 func tinyCheckpoint() *Checkpoint {
-	words := 4 * 2 * 2 // (slab+2)·N²
+	words := 2 * 2 * 6 // N·N·Nz
 	grid := func(seed float64) []float64 {
 		g := make([]float64, words)
 		for i := range g {
@@ -20,7 +20,7 @@ func tinyCheckpoint() *Checkpoint {
 		return g
 	}
 	ck := &Checkpoint{
-		Sweep: 3, Topology: "hypercube", P: 2, N: 2, Nz: 6, Slab: 2,
+		Sweep: 3, Topology: "hypercube", P: 2, N: 2, Nz: 6,
 		Residuals:     []float64{1.5, 0.75, 0.25},
 		MachineCycles: 1000, CommCycles: 200,
 		FaultFired: []int64{1, 0},
@@ -28,10 +28,7 @@ func tinyCheckpoint() *Checkpoint {
 	ck.Faults.Kills = 2
 	ck.Traps.ECCCorrected = 5
 	ck.PlanCache.Hits = 7
-	for r := 0; r < 2; r++ {
-		ck.U = append(ck.U, grid(float64(r)))
-		ck.V = append(ck.V, grid(float64(r)+100))
-	}
+	ck.U, ck.V = grid(0), grid(100)
 	return ck
 }
 
@@ -100,12 +97,12 @@ func TestVerifyCheckpoint(t *testing.T) {
 
 	// Corruption errors name the section and the offset.
 	corrupt := append([]byte(nil), pristine...)
-	corrupt[len(corrupt)-6] ^= 0x10 // inside the last rank section
+	corrupt[len(corrupt)-6] ^= 0x10 // inside the V section
 	_, err = VerifyCheckpoint(bytes.NewReader(corrupt))
 	if err == nil {
 		t.Fatal("corrupt section verified")
 	}
-	for _, frag := range []string{"rank 1", "corrupt at offset", "crc"} {
+	for _, frag := range []string{`section "V"`, "corrupt at offset", "crc"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("error %q does not name %q", err, frag)
 		}
@@ -125,6 +122,18 @@ func TestVerifyCheckpointFile(t *testing.T) {
 	}
 }
 
+// overflowingCheckpoint serializes a snapshot whose header declares an
+// N·N·Nz that overflows int64 (2^22·2^22·2^22 = 2^66 words), with
+// valid checksums and empty grids.
+func overflowingCheckpoint(t testing.TB) []byte {
+	var buf bytes.Buffer
+	ck := &Checkpoint{Topology: "hypercube", P: 4, N: 1 << 22, Nz: 1 << 22}
+	if _, err := ck.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzCheckpointRestore hammers the restore path: arbitrary bytes must
 // never panic, and any stream that parses must re-serialize to a
 // stream that parses to the same snapshot.
@@ -137,6 +146,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte("NSCCKPT1 old format"))
 	f.Add([]byte{})
+	f.Add(overflowingCheckpoint(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := ReadCheckpoint(bytes.NewReader(data))
 		if err != nil {

@@ -62,50 +62,6 @@ type Solver struct {
 	Omega     float64
 	Tol       float64
 	MaxCycles int
-
-	// CheckpointEvery, when positive, snapshots the fine-grid iterate
-	// at every V-cycle boundary divisible by it (the starting boundary
-	// excluded — it holds no progress). Only the finest u is live
-	// across a boundary — every coarse grid is recomputed from it — so
-	// snapshots stay one fine grid in size.
-	CheckpointEvery int
-	// CheckpointSink, when non-nil, receives every snapshot.
-	CheckpointSink func(*Checkpoint) error
-	// LastCheckpoint is the most recent snapshot taken.
-	LastCheckpoint *Checkpoint
-	// Restore, when non-nil, makes Run resume from this snapshot (in a
-	// fresh solver over the same problem) instead of the initial guess.
-	Restore *Checkpoint
-}
-
-// Checkpoint is a V-cycle boundary snapshot: the finest-level iterate
-// and the cycle index that consumes it next. Restoring it into a fresh
-// solver resumes to bit-identical results versus an uninterrupted run
-// — the V-cycle recomputes all coarse state from the fine u.
-type Checkpoint struct {
-	Cycle int
-	N     int
-	U     []float64
-}
-
-// Snapshot captures the fine-grid iterate before V-cycle `cycle` runs.
-func (s *Solver) Snapshot(cycle int) (*Checkpoint, error) {
-	fine := s.Levels[0]
-	u, err := s.Node.ReadWords(jacobi.PlaneU, fine.P.VarBase, fine.P.Cells())
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{Cycle: cycle, N: fine.P.N, U: u}, nil
-}
-
-// applyCheckpoint writes a snapshot's iterate back to the fine grid.
-func (s *Solver) applyCheckpoint(ck *Checkpoint) error {
-	fine := s.Levels[0]
-	if ck.N != fine.P.N || len(ck.U) != fine.P.Cells() {
-		return fmt.Errorf("multigrid: checkpoint N=%d (%d words) does not match fine grid N=%d (%d words)",
-			ck.N, len(ck.U), fine.P.N, fine.P.Cells())
-	}
-	return s.Node.WriteWords(jacobi.PlaneU, fine.P.VarBase, ck.U)
 }
 
 // Result reports a multigrid solve.
@@ -121,8 +77,6 @@ type Result struct {
 	// decode-once engine compiles each distinct instruction exactly once
 	// per solve.
 	PlanCache sim.PlanCacheStats
-	// Checkpoints counts V-cycle boundary snapshots taken.
-	Checkpoints int
 	// ResidualSeries holds the fine-grid residual after every V-cycle,
 	// in order — the trajectory the distributed solver must reproduce
 	// bit for bit.
@@ -379,29 +333,7 @@ func (s *Solver) Run() (*Result, error) {
 	fine := s.Levels[0]
 	res := &Result{}
 	trapBase := s.Node.TrapCounters
-	start := 0
-	if ck := s.Restore; ck != nil {
-		if err := s.applyCheckpoint(ck); err != nil {
-			return nil, err
-		}
-		start = ck.Cycle
-		res.VCycles = ck.Cycle
-		s.LastCheckpoint = ck
-	}
-	for cyc := start; cyc < s.MaxCycles; cyc++ {
-		if s.CheckpointEvery > 0 && cyc%s.CheckpointEvery == 0 && cyc != start {
-			ck, err := s.Snapshot(cyc)
-			if err != nil {
-				return nil, err
-			}
-			s.LastCheckpoint = ck
-			res.Checkpoints++
-			if s.CheckpointSink != nil {
-				if err := s.CheckpointSink(ck); err != nil {
-					return nil, fmt.Errorf("multigrid: checkpoint sink at cycle %d: %w", cyc, err)
-				}
-			}
-		}
+	for cyc := 0; cyc < s.MaxCycles; cyc++ {
 		if err := s.vcycle(0); err != nil {
 			return nil, err
 		}

@@ -54,9 +54,6 @@ func NewWith(shards, ringCap int) *Obs {
 	return &Obs{Reg: NewRegistry(), Tr: NewTracer(shards, ringCap)}
 }
 
-// Enabled reports whether the handle collects anything.
-func (o *Obs) Enabled() bool { return o != nil }
-
 // Inc bumps counter `name` by one. Nil-safe.
 func (o *Obs) Inc(name string) {
 	if o == nil {

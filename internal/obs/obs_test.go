@@ -16,9 +16,6 @@ import (
 // every instrumented hot path relies on.
 func TestNilObsIsSafe(t *testing.T) {
 	var o *Obs
-	if o.Enabled() {
-		t.Fatal("nil Obs reports enabled")
-	}
 	o.Inc("x")
 	o.Add("x", 3)
 	o.Set("g", 7)
@@ -111,8 +108,8 @@ func TestRegistryTotalsDeterministic(t *testing.T) {
 
 func TestTracerRingOverwrite(t *testing.T) {
 	tr := NewTracer(2, 16)
-	if tr.Shards() != 2 {
-		t.Fatalf("shards = %d", tr.Shards())
+	if len(tr.shards) != 2 {
+		t.Fatalf("shards = %d", len(tr.shards))
 	}
 	for i := 0; i < 40; i++ {
 		tr.Emit(0, Span{Name: fmt.Sprintf("s%d", i), TS: int64(i), Dur: 1})
@@ -129,8 +126,8 @@ func TestTracerRingOverwrite(t *testing.T) {
 	if tr.Dropped() != 24 {
 		t.Errorf("dropped = %d, want 24", tr.Dropped())
 	}
-	if tr.Total() != 41 {
-		t.Errorf("total = %d, want 41", tr.Total())
+	if total := tr.shards[0].total + tr.shards[1].total; total != 41 {
+		t.Errorf("total = %d, want 41", total)
 	}
 	// Out-of-range shards wrap instead of panicking.
 	tr.Emit(7, Span{Name: "wrapped"})
@@ -218,9 +215,6 @@ func TestChromeTraceFormat(t *testing.T) {
 // metric kinds and the tracer.
 func TestObsHandleRoutes(t *testing.T) {
 	o := New()
-	if !o.Enabled() {
-		t.Fatal("enabled Obs reports disabled")
-	}
 	o.Inc("c")
 	o.Add("c", 2)
 	o.Set("g", 4)
@@ -230,29 +224,8 @@ func TestObsHandleRoutes(t *testing.T) {
 	if tot["counter/c"] != 3 || tot["gauge/g"] != 4 || tot["hist/h.sum"] != 8 {
 		t.Errorf("totals = %v", tot)
 	}
-	if o.Tr.Total() != 1 {
-		t.Errorf("tracer total = %d", o.Tr.Total())
-	}
-}
-
-// TestLookupHistogram: Lookup peeks without registering — a miss
-// returns nil and leaves the registry unchanged, so Totals can report
-// zero for never-observed phases without minting empty histograms.
-func TestLookupHistogram(t *testing.T) {
-	r := NewRegistry()
-	if h := r.LookupHistogram("absent"); h != nil {
-		t.Fatalf("lookup of absent histogram returned %v", h)
-	}
-	if names := r.Names(); len(names) != 0 {
-		t.Fatalf("lookup registered a name: %v", names)
-	}
-	r.Histogram("present").Observe(3)
-	h := r.LookupHistogram("present")
-	if h == nil {
-		t.Fatal("lookup missed a registered histogram")
-	}
-	if c, s := h.Count(), h.Sum(); c != 1 || s != 3 {
-		t.Fatalf("histogram totals (%d, %d), want (1, 3)", c, s)
+	if spans := o.Tr.Spans(); len(spans) != 1 || spans[0].Name != "sp" {
+		t.Errorf("tracer spans = %v", spans)
 	}
 }
 
@@ -260,8 +233,8 @@ func TestLookupHistogram(t *testing.T) {
 // workable minimums instead of failing or allocating nothing.
 func TestNewTracerClampsGeometry(t *testing.T) {
 	tr := NewTracer(0, 1)
-	if tr.Shards() != 1 {
-		t.Errorf("shards = %d, want 1", tr.Shards())
+	if len(tr.shards) != 1 {
+		t.Errorf("shards = %d, want 1", len(tr.shards))
 	}
 	if tr.cap != 16 {
 		t.Errorf("ring cap = %d, want 16", tr.cap)

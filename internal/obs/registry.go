@@ -169,15 +169,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// LookupHistogram returns the named histogram, or nil without
-// registering it — the read-only peek for views that must not grow the
-// namespace on queries.
-func (r *Registry) LookupHistogram(name string) *Histogram {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.hists[name]
-}
-
 // Snapshot is the registry's full state at one instant, with stable
 // map keys (the JSON exporter sorts them).
 type Snapshot struct {

@@ -56,9 +56,6 @@ func NewTracer(shards, ringCap int) *Tracer {
 	return &Tracer{shards: make([]shard, shards), cap: ringCap}
 }
 
-// Shards returns the shard count.
-func (t *Tracer) Shards() int { return len(t.shards) }
-
 // Emit records a span on the given shard (out-of-range shards wrap, so
 // callers may pass a rank directly).
 func (t *Tracer) Emit(shardNo int, sp Span) {
@@ -102,18 +99,6 @@ func (t *Tracer) Dropped() int64 {
 		if over := s.total - int64(len(s.ring)); over > 0 {
 			n += over
 		}
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Total reports how many spans were ever emitted.
-func (t *Tracer) Total() int64 {
-	var n int64
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += s.total
 		s.mu.Unlock()
 	}
 	return n

@@ -326,15 +326,6 @@ func (n *Node) InjectECC(faults ...ECCFault) error {
 	return nil
 }
 
-// ECCPending reports how many armed ECC events have not fired yet.
-func (n *Node) ECCPending() int {
-	total := 0
-	for _, fs := range n.ecc {
-		total += len(fs)
-	}
-	return total
-}
-
 // takeECC consumes the next pending event at (plane, addr), if any.
 func (n *Node) takeECC(plane int, addr int64) (ECCFault, bool) {
 	k := eccKey{plane, addr}

@@ -207,8 +207,8 @@ func TestECCSingleBitCorrected(t *testing.T) {
 	if len(n.IRQs) != 0 {
 		t.Error("corrected faults raised interrupts")
 	}
-	if n.ECCPending() != 0 {
-		t.Errorf("%d events still armed after firing", n.ECCPending())
+	if len(n.ecc) != 0 {
+		t.Errorf("events still armed after firing: %v", n.ecc)
 	}
 }
 
